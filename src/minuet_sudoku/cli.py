@@ -1,7 +1,7 @@
 """Command-line surface: solve, verify, oracle, and batch subcommands.
 
-Exit codes: 0 success/solved, 1 usage or puzzle-format error, 2 conjecture
-failure, 3 ill-posed input.
+Exit codes: 0 success/solved, 1 usage or puzzle-format error, or a batch puzzle
+that raised, 2 conjecture failure, 3 ill-posed input.
 """
 
 from __future__ import annotations
@@ -136,6 +136,9 @@ def cmd_batch(args) -> int:
     cfg = SolveConfig(phase1_triples=bool(getattr(args, "phase1_triples", False)))
     result = batch_solve(corpus, cfg, jobs=args.jobs or 1, level=args.level or 0.90)
     print(result.stats.render())
+    for r in result.results:
+        if r.status == "error":
+            print(f"{args.corpus}:{r.line_no}: {r.error}", file=sys.stderr)
     for line_no, report in result.reports:
         print(f"\n--- counterexample at line {line_no} ---")
         print(render_report(report))
@@ -146,6 +149,8 @@ def cmd_batch(args) -> int:
             (outdir / f"counterexample_line{line_no}.txt").write_text(
                 render_report(report) + "\n")
         (outdir / "summary.txt").write_text(result.stats.render() + "\n")
+    if result.stats.errors:
+        return EXIT_USAGE
     return EXIT_OK if result.stats.failures == 0 else EXIT_FAILURE
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
@@ -68,27 +69,36 @@ def load_corpus(path: str | Path) -> CorpusLoad:
 @dataclass(slots=True)
 class PuzzleResult:
     line_no: int
-    status: str  # "solved" | "failure" | "ill_posed"
-    well_posedness: str
-    elapsed: float
+    status: str  # "solved" | "failure" | "ill_posed" | "error"
+    well_posedness: str  # an oracle status, or "unknown" if the oracle did not finish
+    elapsed: float  # seconds in solve(); 0.0 when the solver did not run
     starters: int = 0
     solution: str | None = None
     report: FailureReport | None = None
     oracle_mismatch: str | None = None
+    error: str | None = None  # "{type}: {message}" when status is "error"
 
 
 def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
-    import time
+    """Oracle-check and solve one entry, timing the solver alone.
 
+    An exception becomes an "error" result, so one bad puzzle does not lose
+    the rest of the batch.
+    """
     entry, cfg = args
-    grid = parse_grid(entry.text)
-    t0 = time.perf_counter()
-    wp = oracle.verify_well_posed(grid)
-    if not wp.is_well_posed:
-        return PuzzleResult(entry.line_no, "ill_posed", wp.status,
-                            time.perf_counter() - t0)
-    outcome: SolveOutcome = solve(grid, cfg)
-    elapsed = time.perf_counter() - t0
+    well_posedness = "unknown"
+    try:
+        grid = parse_grid(entry.text)
+        wp = oracle.verify_well_posed(grid)
+        well_posedness = wp.status
+        if not wp.is_well_posed:
+            return PuzzleResult(entry.line_no, "ill_posed", wp.status, 0.0)
+        t0 = time.perf_counter()
+        outcome: SolveOutcome = solve(grid, cfg)
+        elapsed = time.perf_counter() - t0
+    except Exception as e:
+        return PuzzleResult(entry.line_no, "error", well_posedness, 0.0,
+                            error=f"{type(e).__name__}: {e}")
     if outcome.status == "solved":
         answer = serialize_grid(outcome.grid)
         truth = serialize_grid(wp.solution)
@@ -111,6 +121,7 @@ class BatchStats:
     solved: int
     failures: int
     ill_posed: int
+    errors: int  # puzzles whose oracle check or solve raised; outside every other count
     starter_counts: list[int]
     times: list[float]
     level: float
@@ -123,6 +134,7 @@ class BatchStats:
             f"solved:               {self.solved}",
             f"conjecture failures:  {self.failures}",
             f"ill-posed (skipped):  {self.ill_posed}",
+            f"errors:               {self.errors}",
         ]
         if self.starter_counts:
             lines.append(
@@ -131,7 +143,7 @@ class BatchStats:
         if self.times:
             ms = sorted(t * 1000 for t in self.times)
             p90 = ms[min(len(ms) - 1, int(0.9 * len(ms)))]
-            lines.append("wall time per puzzle: median %.1f ms, p90 %.1f ms, max %.1f ms"
+            lines.append("solver time per puzzle: median %.1f ms, p90 %.1f ms, max %.1f ms"
                          % (statistics.median(ms), p90, ms[-1]))
         if self.confidence_bound is not None:
             lines.append(
@@ -155,7 +167,8 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
     """Solve every corpus entry, oracle-check each answer, aggregate stats.
 
     Ill-posed entries are flagged and excluded from conjecture statistics
-    (the conjecture quantifies over well-posed puzzles only).  Results are
+    (the conjecture quantifies over well-posed puzzles only), and so are
+    entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
     for any worker count.
     """
@@ -183,14 +196,15 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
     solved = sum(1 for r in results if r.status == "solved")
     failures = sum(1 for r in results if r.status == "failure")
     ill = sum(1 for r in results if r.status == "ill_posed")
+    errors = sum(1 for r in results if r.status == "error")
     well_posed = solved + failures
-    attempted = [r for r in results if r.status != "ill_posed"]
+    attempted = [r for r in results if r.status in ("solved", "failure")]
     bound = None
     if failures == 0 and well_posed >= 1:
         bound = confidence_upper_bound(well_posed, 0, level)
     stats = BatchStats(
         puzzles=len(results), well_posed=well_posed, solved=solved,
-        failures=failures, ill_posed=ill,
+        failures=failures, ill_posed=ill, errors=errors,
         starter_counts=[r.starters for r in attempted],
         times=[r.elapsed for r in attempted],
         level=level, confidence_bound=bound)

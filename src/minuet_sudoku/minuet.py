@@ -435,7 +435,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None) -> SolveOutcome
     sound rules only reach on inputs without a unique solution).
     """
     cfg = config or SolveConfig()
-    grid = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle
+    grid = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle.copy()
     start = grid.copy()
     trace: list[TraceEvent] = []
     stats = SolveStats()

@@ -8,6 +8,19 @@ The registry plays the role of the pencil marks: ``entries`` are the small
 corner digits (a half double per box and digit), ``claim_groups`` the big
 penciled hidden doubles/triples, which make their cells unavailable to every
 other digit.
+
+Step 1 keeps asking which cells of a box are still open to a digit.  It
+answers from bitboards: 81-bit ints in which bit ``c`` stands for cell ``c``.
+Each ``step1_scan`` call builds a :class:`_Bitboards` from the grid in one
+pass, so grids and registries changed between calls are picked up.  A cell
+is closed to ``d`` by ink (the cell is inked, or its row or column holds a
+``d``) or by pencil (it lies on the line of a half double or claim group of
+``d`` without belonging to it, Rules 20 and 21, or a claim closes it to
+``d``).  The ink part is updated at every Phase-I ink.  The pencil part is
+computed per digit on demand and cached; a digit's entry is dropped when its
+half doubles change, and every entry when a claim is added.  The open cells
+of box ``bx`` are ``BOX & ~(inked | ink_lines[d] | pencil[d])``, read in
+ascending cell order so that finds come out in scan order.
 """
 
 from __future__ import annotations
@@ -15,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .grid import (BIT, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCTS_OF,
+from .grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCTS_OF,
                    ContradictionFound, Grid, Structure, place_ink)
 from .trace import TraceEvent
 
 
-BOX_FLAT = tuple(STRUCTS_OF[i][2] for i in range(81))
+STRUCT_BITS = tuple(sum(1 << c for c in cells) for cells in CELLS_OF)  # by flat id
+CROSS_BITS = tuple(STRUCT_BITS[r] | STRUCT_BITS[k] for r, k, _ in STRUCTS_OF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,54 +81,84 @@ class HalfDoubleRegistry:
                 for (bx, d), (a, b) in sorted(self.entries.items())]
 
 
-def _digit_blockers(grid: Grid, registry: HalfDoubleRegistry, d: int):
-    """Rows/columns closed to ``d``: by ink, or by a half double / claimed
-    double whose cells all lie in the line (Rules 19/20/21)."""
-    row_ink = 0
-    col_ink = 0
-    for i, dg in enumerate(grid.solved):
-        if dg == d:
-            row_ink |= 1 << ROW_OF[i]
-            col_ink |= 1 << COL_OF[i]
-    line_pairs: list[tuple[str, int, tuple[int, ...]]] = []
+def _pencil_bits(registry: HalfDoubleRegistry, d: int) -> int:
+    """Cells closed to ``d`` by pencil marks: the rest of the row or column
+    holding a half double or claim group of ``d`` (Rules 20/21), and claimed
+    cells whose claim excludes ``d``."""
     b = BIT[d]
-    for (_, dd), pair in registry.entries.items():
-        if dd != d:
-            continue
-        if ROW_OF[pair[0]] == ROW_OF[pair[1]]:
-            line_pairs.append(("row", ROW_OF[pair[0]], pair))
-        elif COL_OF[pair[0]] == COL_OF[pair[1]]:
-            line_pairs.append(("col", COL_OF[pair[0]], pair))
-    for cells, m in registry.claim_groups:
+    groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
+    groups += [cells for cells, m in registry.claim_groups if m & b]
+    bits = 0
+    for cells in groups:
+        own = 0
+        for c in cells:
+            own |= 1 << c
+        line = STRUCT_BITS[ROW_OF[cells[0]]]
+        if own & ~line:
+            line = STRUCT_BITS[9 + COL_OF[cells[0]]]
+        if not own & ~line:
+            bits |= line & ~own
+    for c, m in registry.claimed.items():
         if not m & b:
-            continue
-        rows = {ROW_OF[c] for c in cells}
-        cols = {COL_OF[c] for c in cells}
-        if len(rows) == 1:
-            line_pairs.append(("row", rows.pop(), cells))
-        elif len(cols) == 1:
-            line_pairs.append(("col", cols.pop(), cells))
-    return row_ink, col_ink, line_pairs
+            bits |= 1 << c
+    return bits
 
 
-def _is_available(grid: Grid, registry: HalfDoubleRegistry, c: int, d: int,
-                  blockers) -> bool:
-    if grid.solved[c]:
-        return False
-    cm = registry.claimed.get(c)
-    if cm is not None and not cm & BIT[d]:
-        return False
-    row_ink, col_ink, line_pairs = blockers
-    if row_ink >> ROW_OF[c] & 1 or col_ink >> COL_OF[c] & 1:
-        return False
-    for kind, idx, cells in line_pairs:
-        if c in cells:
-            continue
-        if kind == "row" and ROW_OF[c] == idx:
-            return False
-        if kind == "col" and COL_OF[c] == idx:
-            return False
-    return True
+class _Bitboards:
+    """The grid and registry as seen by one Step-1 scan.
+
+    ``inked`` holds every inked cell; ``ink_lines[d]`` every cell in a row or
+    column that holds a ``d``; ``ink_boxes[d]`` bit ``bx`` when box ``bx``
+    holds a ``d``.  Inks and registry changes made during the scan must go
+    through the methods below, which keep these and the pencil cache current.
+    """
+
+    __slots__ = ("grid", "registry", "inked", "ink_lines", "ink_boxes", "pencil")
+
+    def __init__(self, grid: Grid, registry: HalfDoubleRegistry):
+        self.grid = grid
+        self.registry = registry
+        self.inked = 0
+        self.ink_lines = [0] * 10
+        self.ink_boxes = [0] * 10
+        for c, d in enumerate(grid.solved):
+            if d:
+                self.inked |= 1 << c
+                self.ink_lines[d] |= CROSS_BITS[c]
+                self.ink_boxes[d] |= 1 << BOX_OF[c]
+        self.pencil: list[int | None] = [None] * 10
+
+    def holds(self, bx: int, d: int) -> bool:
+        return bool(self.ink_boxes[d] >> bx & 1)
+
+    def closed(self, d: int) -> int:
+        pencil = self.pencil[d]
+        if pencil is None:
+            pencil = self.pencil[d] = _pencil_bits(self.registry, d)
+        return self.inked | self.ink_lines[d] | pencil
+
+    def open_cells(self, bx: int, d: int) -> int:
+        return STRUCT_BITS[18 + bx] & ~self.closed(d)
+
+    def ink(self, bx: int, cell: int, d: int, rule: str) -> TraceEvent:
+        ev = place_ink(self.grid, cell, d, step="1.1", rule=rule,
+                       structure=Structure("box", bx))
+        self.inked |= 1 << cell
+        self.ink_lines[d] |= CROSS_BITS[cell]
+        self.ink_boxes[d] |= 1 << BOX_OF[cell]
+        return ev
+
+    def record(self, bx: int, d: int, pair: tuple[int, int]) -> None:
+        self.registry.entries[(bx, d)] = pair
+        self.pencil[d] = None
+
+    def forget(self, bx: int, d: int) -> None:
+        if self.registry.entries.pop((bx, d), None) is not None:
+            self.pencil[d] = None
+
+    def claim(self, cells: tuple[int, ...], mask: int) -> None:
+        self.registry.claim(cells, mask)
+        self.pencil = [None] * 10
 
 
 def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
@@ -124,39 +168,34 @@ def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
     if box.kind != "box":
         raise ValueError("available_cells scans boxes only")
     bx = box.index
-    if any(grid.solved[c] == d for c in CELLS_OF[18 + bx]):
+    boards = _Bitboards(grid, registry)
+    if boards.holds(bx, d):
         raise ValueError(f"digit {d} is already inked in box {bx}")
-    blockers = _digit_blockers(grid, registry, d)
-    return {c for c in CELLS_OF[18 + bx] if _is_available(grid, registry, c, d, blockers)}
+    open_bits = boards.open_cells(bx, d)
+    return {c for c in CELLS_OF[18 + bx] if open_bits >> c & 1}
 
 
-def _eager_rule22(grid: Grid, registry: HalfDoubleRegistry, events: list,
-                  finds: list) -> None:
+def _eager_rule22(boards: _Bitboards, events: list, finds: list) -> None:
     """Rule 22, applied as soon as a half-double (or claimed) cell becomes
     unavailable: the surviving cell and digit are a hidden single."""
+    grid, registry = boards.grid, boards.registry
     changed = True
     while changed:
         changed = False
         for (bx, d), (a, b) in list(registry.entries.items()):
-            satisfied = False
-            for c in CELLS_OF[18 + bx]:
-                if grid.solved[c] == d:
-                    satisfied = True
-            if satisfied:
-                registry.entries.pop((bx, d))
+            if boards.holds(bx, d):
+                boards.forget(bx, d)
                 continue
-            blockers = _digit_blockers(grid, registry, d)
-            a_ok = _is_available(grid, registry, a, d, blockers)
-            b_ok = _is_available(grid, registry, b, d, blockers)
+            closed = boards.closed(d)
+            a_ok = not closed >> a & 1
+            b_ok = not closed >> b & 1
             if a_ok and b_ok:
                 continue
-            registry.entries.pop((bx, d))
+            boards.forget(bx, d)
             if not a_ok and not b_ok:
                 raise ContradictionFound("starved", structure=Structure("box", bx), digit=d)
             target = a if a_ok else b
-            ev = place_ink(grid, target, d, step="1.1", rule="passive single",
-                           structure=Structure("box", bx))
-            events.append(ev)
+            events.append(boards.ink(bx, target, d, "passive single"))
             finds.append(Phase1Find("passive_single", bx, (target,), (d,)))
             changed = True
         for c in sorted(registry.claimed):
@@ -167,18 +206,16 @@ def _eager_rule22(grid: Grid, registry: HalfDoubleRegistry, events: list,
                 raise ContradictionFound("empty_cell", cell=c)
             if not m & (m - 1):
                 d = DIGITS_OF[m][0]
-                ev = place_ink(grid, c, d, step="1.1", rule="passive single",
-                               structure=Structure("box", BOX_FLAT[c] - 18))
-                events.append(ev)
-                finds.append(Phase1Find("passive_single", BOX_FLAT[c] - 18, (c,), (d,)))
+                events.append(boards.ink(BOX_OF[c], c, d, "passive single"))
+                finds.append(Phase1Find("passive_single", BOX_OF[c], (c,), (d,)))
                 changed = True
 
 
-def _try_corollaries(grid: Grid, registry: HalfDoubleRegistry, bx: int, d: int,
-                     pair: tuple[int, int], triples_enabled: bool,
-                     events: list, finds: list) -> None:
+def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
+                     triples_enabled: bool, events: list, finds: list) -> None:
     """Corollary 13a (two half doubles on the same two cells are a hidden
     double) and, optionally, Corollary 16a for hidden triples."""
+    grid, registry = boards.grid, boards.registry
     if any(c in registry.claimed for c in pair):
         return
     for d2 in range(1, 10):
@@ -190,12 +227,12 @@ def _try_corollaries(grid: Grid, registry: HalfDoubleRegistry, bx: int, d: int,
             for dx in DIGITS_OF[grid.masks[c] & ~gm]:
                 grid.masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        registry.claim(pair, gm)
+        boards.claim(pair, gm)
         digits = tuple(sorted((d, d2)))
         finds.append(Phase1Find("hidden_double", bx, pair, digits))
         events.append(TraceEvent("1.3", "hidden double", structure=Structure("box", bx),
                                  cells=pair, digits=digits, erased=tuple(erased)))
-        _eager_rule22(grid, registry, events, finds)
+        _eager_rule22(boards, events, finds)
         return
     if not triples_enabled:
         return
@@ -212,12 +249,12 @@ def _try_corollaries(grid: Grid, registry: HalfDoubleRegistry, bx: int, d: int,
             for dx in DIGITS_OF[grid.masks[c] & ~gm]:
                 grid.masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        registry.claim(trio, gm)
+        boards.claim(trio, gm)
         digits = tuple(sorted((d, d2, d3)))
         finds.append(Phase1Find("hidden_triple", bx, trio, digits))
         events.append(TraceEvent("1.3", "hidden triple", structure=Structure("box", bx),
                                  cells=trio, digits=digits, erased=tuple(erased)))
-        _eager_rule22(grid, registry, events, finds)
+        _eager_rule22(boards, events, finds)
         return
 
 
@@ -231,34 +268,32 @@ def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool =
     """
     events = trace if trace is not None else []
     finds: list[Phase1Find] = []
+    boards = _Bitboards(grid, registry)
     for d in range(1, 10):
         for bx in range(9):
-            if any(grid.solved[c] == d for c in CELLS_OF[18 + bx]):
-                registry.entries.pop((bx, d), None)
+            if boards.holds(bx, d):
+                boards.forget(bx, d)
                 continue
-            blockers = _digit_blockers(grid, registry, d)
-            avail = [c for c in CELLS_OF[18 + bx]
-                     if _is_available(grid, registry, c, d, blockers)]
-            if not avail:
+            open_bits = boards.open_cells(bx, d)
+            n = open_bits.bit_count()
+            if not n:
                 raise ContradictionFound("starved", structure=Structure("box", bx), digit=d)
-            if len(avail) == 1:
-                registry.entries.pop((bx, d), None)
-                ev = place_ink(grid, avail[0], d, step="1.1", rule="hidden single",
-                               structure=Structure("box", bx))
-                events.append(ev)
-                finds.append(Phase1Find("hidden_single", bx, (avail[0],), (d,)))
-                _eager_rule22(grid, registry, events, finds)
-            elif len(avail) == 2:
-                pair = (avail[0], avail[1])
+            if n == 1:
+                cell = open_bits.bit_length() - 1
+                boards.forget(bx, d)
+                events.append(boards.ink(bx, cell, d, "hidden single"))
+                finds.append(Phase1Find("hidden_single", bx, (cell,), (d,)))
+                _eager_rule22(boards, events, finds)
+            elif n == 2:
+                pair = ((open_bits & -open_bits).bit_length() - 1, open_bits.bit_length() - 1)
                 if registry.entries.get((bx, d)) == pair:
                     continue
-                registry.entries[(bx, d)] = pair
+                boards.record(bx, d, pair)
                 finds.append(Phase1Find("half_double", bx, pair, (d,)))
                 events.append(TraceEvent("1.2", "half double",
                                          structure=Structure("box", bx),
                                          cells=pair, digits=(d,)))
-                _try_corollaries(grid, registry, bx, d, pair, triples_enabled,
-                                 events, finds)
+                _try_corollaries(boards, bx, d, pair, triples_enabled, events, finds)
     return finds
 
 

@@ -1,3 +1,4 @@
+from minuet_sudoku import harness
 from minuet_sudoku.cli import main
 
 from puzzles import EASY, EASY_SOLUTION, MEDIUM, STALL
@@ -70,6 +71,20 @@ def test_batch_command_failure_exit_and_reports(tmp_path, capsys):
     assert (outdir / "counterexample_line2.txt").exists()
     assert (outdir / "summary.txt").exists()
     assert "CONJECTURE FAILURE" in capsys.readouterr().out
+
+
+def test_batch_command_reports_errors_and_exits_one(tmp_path, capsys, monkeypatch):
+    def broken(grid, cfg=None):
+        raise ValueError("no luck")
+
+    monkeypatch.setattr(harness, "solve", broken)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n{STALL}\n")
+    assert main(["batch", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert f"{corpus}:1: ValueError: no luck" in captured.err
+    assert f"{corpus}:2: ValueError: no luck" in captured.err
+    assert "errors:               2" in captured.out
 
 
 def test_batch_command_empty_corpus(tmp_path, capsys):

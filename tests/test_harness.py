@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from minuet_sudoku import (EmptyCorpus, SelfCheckFailed, Structure, batch_solve,
                            brute_solve, confidence_upper_bound, detect_singles,
                            load_corpus, parse_grid, render_report, render_trace,
-                           solve, validate_report)
+                           serialize_grid, solve, validate_report)
 from minuet_sudoku import harness
 from minuet_sudoku.grid import Grid
 
@@ -111,6 +112,42 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert serial.stats.failures == parallel.stats.failures
     assert ([r.solution for r in serial.results]
             == [r.solution for r in parallel.results])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_keeps_going_past_a_puzzle_that_raises(tmp_path, monkeypatch, jobs):
+    real_solve = harness.solve
+
+    def broken_on_medium(grid, cfg=None):
+        if serialize_grid(grid) == MEDIUM:
+            raise KeyError("boom")
+        return real_solve(grid, cfg)
+
+    monkeypatch.setattr(harness, "solve", broken_on_medium)
+    result = batch_solve(small_corpus(tmp_path, [EASY, MEDIUM, HARD, TRICKY]), jobs=jobs)
+    assert [r.status for r in result.results] == ["solved", "error", "solved", "solved"]
+    bad = result.results[1]
+    assert bad.line_no == 2
+    assert bad.error == "KeyError: 'boom'"
+    assert bad.well_posedness == "well_posed"
+    stats = result.stats
+    assert (stats.solved, stats.failures, stats.ill_posed, stats.errors) == (3, 0, 0, 1)
+    assert stats.well_posed == 3 and len(stats.times) == 3
+    assert stats.confidence_bound == pytest.approx(confidence_upper_bound(3, 0, 0.90))
+    assert "errors:               1" in stats.render()
+
+
+def test_batch_times_only_the_solver(tmp_path, monkeypatch):
+    real_verify = harness.oracle.verify_well_posed
+
+    def slow_verify(grid):
+        time.sleep(0.5)
+        return real_verify(grid)
+
+    monkeypatch.setattr(harness.oracle, "verify_well_posed", slow_verify)
+    result = batch_solve(small_corpus(tmp_path, [EASY]))
+    assert 0 < result.results[0].elapsed < 0.5
+    assert "solver time per puzzle" in result.stats.render()
 
 
 def test_batch_reports_are_deterministic(tmp_path):

@@ -300,6 +300,16 @@ def test_solve_hard_matches_oracle(puzzle, solution):
     assert outcome.stats.starters_danced >= 1
 
 
+def test_solve_leaves_the_callers_grid_alone():
+    for puzzle in (EASY, HARD):
+        g = parse_grid(puzzle)
+        snap = g.copy()
+        outcome = solve(g)
+        assert outcome.status == "solved"
+        assert g == snap
+        assert outcome.grid is not g and outcome.start is not g
+
+
 def test_tricky_fixture_exercises_joint_eliminations():
     outcome = solve(TRICKY)
     assert any(ev.step in ("4a", "4b") for ev in outcome.trace)

@@ -56,6 +56,51 @@ def test_available_cells_contains_true_cell_on_random_positions():
                 assert true_cell in available_cells(g, registry, Structure("box", b), d)
 
 
+def reference_available(g: Grid, registry: HalfDoubleRegistry, bx: int, d: int) -> set[int]:
+    """The rule in available_cells' docstring, cell by cell."""
+    groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
+    groups += [cells for cells, m in registry.claim_groups if m & BIT[d]]
+    out = set()
+    for c in CELLS_OF[18 + bx]:
+        row, col = CELLS_OF[c // 9], CELLS_OF[9 + c % 9]
+        if g.solved[c]:
+            continue
+        if c in registry.claimed and not registry.claimed[c] & BIT[d]:
+            continue
+        if any(g.solved[x] == d for x in row + col):
+            continue
+        if any(c not in cells and (set(cells) <= set(row) or set(cells) <= set(col))
+               for cells in groups):
+            continue
+        out.add(c)
+    return out
+
+
+def test_available_cells_matches_reference_rule():
+    rng = random.Random(23)
+    for trial in range(12):
+        chars = list(random_full_grid(rng))
+        for c in rng.sample(range(81), rng.randrange(45, 60)):
+            chars[c] = "."
+        g = parse_grid("".join(chars))
+        registry = HalfDoubleRegistry()
+        step1_fixpoint(g, registry, triples_enabled=trial % 2 == 1)
+        # extra pencil marks written straight into the registry, as callers may
+        for _ in range(3):
+            bx = rng.randrange(9)
+            box = CELLS_OF[18 + bx]
+            registry.entries[(bx, rng.randrange(1, 10))] = tuple(sorted(rng.sample(box, 2)))
+            digits = rng.sample(range(1, 10), 3)
+            registry.claim(tuple(sorted(rng.sample(box, rng.choice((2, 3))))),
+                           BIT[digits[0]] | BIT[digits[1]] | BIT[digits[2]])
+        for b in range(9):
+            for d in range(1, 10):
+                if any(g.solved[c] == d for c in CELLS_OF[18 + b]):
+                    continue
+                assert (available_cells(g, registry, Structure("box", b), d)
+                        == reference_available(g, registry, b, d)), (trial, b, d)
+
+
 def test_step1_hidden_single_when_one_cell_remains():
     # digit 1 blocked from rows 1, 2 and column 2 of box 0 -> cell 0 is forced
     g = grid_with({14: 1, 24: 1, 56: 1, 37: 1})
