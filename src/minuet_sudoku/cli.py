@@ -33,7 +33,6 @@ def _config_file_defaults(path: str) -> dict:
     """key=value lines mirroring the flags; '#' comments allowed."""
     mapping = {
         "trace": ("trace", str),
-        "max-starters": ("max_starters", int),
         "phase1-triples": ("phase1_triples", lambda v: v.lower() in ("1", "true", "yes", "on")),
         "jobs": ("jobs", int),
         "level": ("level", float),
@@ -54,8 +53,17 @@ def _config_file_defaults(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a usage error (exit 1), never exit 2,
+    which stands for a conjecture failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minuet",
         description="Deduction-only Sudoku solving via the minuet method, "
                     "with a brute-force oracle and a conjecture-hunting batch mode.")
@@ -65,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("puzzle", help="81-char puzzle string or path to a file")
     p.add_argument("--trace", choices=["summary", "full"], default=None,
                    help="print the solve log at this verbosity")
-    p.add_argument("--max-starters", type=int, default=None,
-                   help="cap on starters tried per enumeration")
     p.add_argument("--phase1-triples", action="store_true", default=None,
                    help="also hunt hidden triples during Phase I")
     p.add_argument("--config", default=None, help="key=value config file")
@@ -90,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     grid = _read_puzzle(args.puzzle)
-    cfg = SolveConfig(phase1_triples=bool(args.phase1_triples),
-                      max_starters=args.max_starters)
+    cfg = SolveConfig(phase1_triples=bool(args.phase1_triples))
     outcome = solve(grid, cfg)
     if args.trace:
         print(render_trace(outcome.trace, args.trace))
@@ -133,8 +138,9 @@ def cmd_batch(args) -> int:
         return EXIT_USAGE
     for line_no, message in corpus.errors:
         print(f"{args.corpus}:{line_no}: {message}", file=sys.stderr)
-    cfg = SolveConfig(phase1_triples=bool(getattr(args, "phase1_triples", False)))
-    result = batch_solve(corpus, cfg, jobs=args.jobs or 1, level=args.level or 0.90)
+    result = batch_solve(corpus,
+                         jobs=1 if args.jobs is None else args.jobs,
+                         level=0.90 if args.level is None else args.level)
     print(result.stats.render())
     for r in result.results:
         if r.status == "error":
@@ -157,14 +163,14 @@ def cmd_batch(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
     try:
         args = parser.parse_args(argv)
-        if known.config:
-            for dest, value in _config_file_defaults(known.config).items():
-                if hasattr(args, dest) and getattr(args, dest) is None:
+        if getattr(args, "config", None):
+            for dest, value in _config_file_defaults(args.config).items():
+                if not hasattr(args, dest):
+                    raise ValueError(f"{args.config}: key {dest.replace('_', '-')!r} "
+                                     f"does not apply to {args.command!r}")
+                if getattr(args, dest) is None:
                     setattr(args, dest, value)
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "oracle": cmd_oracle, "batch": cmd_batch}[args.command]

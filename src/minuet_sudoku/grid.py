@@ -152,21 +152,11 @@ class Grid:
     def candidates(self, cell: int) -> set[int]:
         return set(DIGITS_OF[self.masks[cell]])
 
-    def cell_state(self, cell: int):
-        """("ink", digit, "given"|"deduced") for solved cells, ("pencil", frozenset) otherwise."""
-        d = self.solved[cell]
-        if d:
-            return ("ink", d, "given" if self.given[cell] else "deduced")
-        return ("pencil", frozenset(DIGITS_OF[self.masks[cell]]))
-
     def is_complete(self) -> bool:
         return 0 not in self.solved
 
     def inked_count(self) -> int:
         return 81 - self.solved.count(0)
-
-    def unsolved_cells(self) -> list[int]:
-        return [i for i in range(81) if not self.solved[i]]
 
     def __repr__(self) -> str:
         return f"Grid({serialize_grid(self)!r})"

@@ -170,8 +170,13 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
     (the conjecture quantifies over well-posed puzzles only), and so are
     entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
-    for any worker count.
+    for any worker count.  Raises ValueError, before any solve, when ``jobs``
+    is below 1 or ``level`` lies outside (0, 1).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     cfg = config or SolveConfig()
     work = [(entry, cfg) for entry in corpus.entries]
     if jobs > 1:

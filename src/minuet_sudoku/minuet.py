@@ -86,7 +86,6 @@ class MinuetState:
 @dataclass(slots=True)
 class SolveConfig:
     phase1_triples: bool = False
-    max_starters: int | None = None
     round_cap: int = 81
     monitor: Callable | None = None  # called as monitor(base, circle, square) after each dance_together
 
@@ -98,11 +97,7 @@ class SolveStats:
     step3_sweeps: int = 0
     starters_danced: int = 0
     minuet_rounds: int = 0
-    commits: int = 0
-
-    @property
-    def used_minuet(self) -> bool:
-        return self.starters_danced > 0
+    commits: int = 0  # minuets that ended by committing the surviving view
 
 
 @dataclass(slots=True)
@@ -245,10 +240,7 @@ def dance_alone(view: HypothesisView, base: Grid,
     events = trace if trace is not None else []
     try:
         changed = _sync_view(view, base)
-        dirty: set[int] = set()
-        for c in changed:
-            dirty.update(STRUCTS_OF[c])
-        step3_fixpoint(view.shadow, trace=events, view=view.label, dirty=dirty)
+        step3_fixpoint(view.shadow, trace=events, view=view.label, touched=changed)
     except ContradictionFound as e:
         view.status = "contradicted"
         view.reason = e
@@ -266,9 +258,20 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
     intersection (it would conflict with both dancers).  Changes are followed
     by a Step-3 cleanup of the base and a re-sync of both views.
 
-    With fully propagated shadow grids, every trick-(b) target has already
-    lost the digit in both views, so trick (a) claims those erasures first;
-    (b) still runs and matters whenever view markings are sparser.
+    Trick (b) needs no code of its own here, because trick (a) draws every
+    one of its conclusions first.  Lemma: in a live shadow, a solved cell's
+    digit is neither a candidate nor the ink of any peer.  Every ink, in the
+    base and in each shadow, goes through ``place_ink``, which erases the
+    digit from all 20 peers (Rule 19) and refuses a digit that is not a
+    candidate; ``parse_grid`` builds the givens the same way, and masks only
+    ever shrink.  Now take a target ``x`` of (b) for digit ``n``, circled at
+    ``a`` and squared at ``z``: ``x`` shares a structure with ``a`` and one
+    with ``z``, so by the lemma ``n`` is absent from both
+    ``circle.retained(x)`` and ``square.retained(x)``.  Trick (a) visits
+    every unsolved base cell, so it has already erased ``n`` at ``x``, and
+    (b) has nothing left to erase.  Its conclusions are therefore still
+    drawn, and logged as trick (a) events under step "4a".  (``run_minuet``
+    calls this only while both views are alive.)
     """
     events = trace if trace is not None else []
     circle, square = state.circle, state.square
@@ -299,38 +302,8 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
             if not base.masks[c]:
                 raise ContradictionFound("empty_cell", cell=c)
 
-    for n in range(1, 10):
-        b = BIT[n]
-        circled = [c for c in range(81) if cs.solved[c] == n and not base.solved[c]]
-        squared = [c for c in range(81) if ss.solved[c] == n and not base.solved[c]]
-        for a in circled:
-            for z in squared:
-                if a == z:
-                    continue
-                erased = []
-                for s1 in STRUCTS_OF[a]:
-                    set1 = CELLSET_OF[s1]
-                    for s2 in STRUCTS_OF[z]:
-                        inter = set1 & CELLSET_OF[s2]
-                        for x in sorted(inter):
-                            if x == a or x == z or base.solved[x]:
-                                continue
-                            if base.masks[x] & b:
-                                base.masks[x] &= ~b
-                                erased.append((x, n))
-                                touched.add(x)
-                                if not base.masks[x]:
-                                    raise ContradictionFound("empty_cell", cell=x)
-                if erased:
-                    events.append(TraceEvent("4b", "trick (b)", cells=(a, z),
-                                             digits=(n,), erased=tuple(erased)))
-                    changed = True
-
     if changed:
-        dirty: set[int] = set()
-        for c in touched:
-            dirty.update(STRUCTS_OF[c])
-        step3_fixpoint(base, trace=events, dirty=dirty)
+        step3_fixpoint(base, trace=events, touched=touched)
         dance_alone(circle, base, events)
         dance_alone(square, base, events)
     if monitor is not None:
@@ -374,10 +347,7 @@ def commit_retained(state: MinuetState, base: Grid,
             touched.add(c)
             if not nm:
                 raise ContradictionFound("empty_cell", cell=c)
-    dirty: set[int] = set()
-    for c in touched:
-        dirty.update(STRUCTS_OF[c])
-    step3_fixpoint(base, trace=events, dirty=dirty)
+    step3_fixpoint(base, trace=events, touched=touched)
 
 
 def _adopt(view: HypothesisView, base: Grid, events: list) -> None:
@@ -472,8 +442,6 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None) -> SolveOutcome
             starters = enumerate_starters(grid)
         except NoStarters:
             return failure("no_starters")
-        if cfg.max_starters is not None:
-            starters = starters[:cfg.max_starters]
         progressed = False
         for starter in starters:
             before = grid.fingerprint()
@@ -487,7 +455,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None) -> SolveOutcome
             except ContradictionFound as e:
                 return ill_posed(str(e))
             stats.minuet_rounds += state.rounds
-            if outcome == "progress":
+            if outcome == "progress" and not (state.circle.alive and state.square.alive):
                 stats.commits += 1
             if grid.is_complete():
                 progressed = True

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCTS_OF,
-                   ContradictionFound, Grid, Structure, place_ink)
+                   ContradictionFound, Grid, Structure, mask_of, place_ink)
 from .trace import TraceEvent
 
 
@@ -49,7 +49,6 @@ class Phase1Find:
 class Phase1Run:
     finds: list[Phase1Find] = field(default_factory=list)
     finds_per_pass: list[int] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
 
     @property
     def passes(self) -> int:
@@ -75,10 +74,6 @@ class HalfDoubleRegistry:
         self.claim_groups.append((cells, mask))
         for c in cells:
             self.claimed[c] = mask
-
-    def half_doubles(self) -> list[tuple[Structure, int, int, int]]:
-        return [(Structure("box", bx), d, a, b)
-                for (bx, d), (a, b) in sorted(self.entries.items())]
 
 
 def _pencil_bits(registry: HalfDoubleRegistry, d: int) -> int:
@@ -211,29 +206,35 @@ def _eager_rule22(boards: _Bitboards, events: list, finds: list) -> None:
                 changed = True
 
 
+def _claim(boards: _Bitboards, bx: int, cells: tuple[int, ...], digits: tuple[int, ...],
+           kind: str, events: list, finds: list) -> None:
+    """Pencil a hidden double or triple: strip every other digit from its
+    cells, close them to those digits (Rule 21), then apply Rule 22."""
+    masks = boards.grid.masks
+    gm = mask_of(digits)
+    erased = []
+    for c in cells:
+        for dx in DIGITS_OF[masks[c] & ~gm]:
+            masks[c] &= ~BIT[dx]
+            erased.append((c, dx))
+    boards.claim(cells, gm)
+    finds.append(Phase1Find(kind, bx, cells, digits))
+    events.append(TraceEvent("1.3", kind.replace("_", " "), structure=Structure("box", bx),
+                             cells=cells, digits=digits, erased=tuple(erased)))
+    _eager_rule22(boards, events, finds)
+
+
 def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
                      triples_enabled: bool, events: list, finds: list) -> None:
     """Corollary 13a (two half doubles on the same two cells are a hidden
     double) and, optionally, Corollary 16a for hidden triples."""
-    grid, registry = boards.grid, boards.registry
+    registry = boards.registry
     if any(c in registry.claimed for c in pair):
         return
     for d2 in range(1, 10):
-        if d2 == d or registry.entries.get((bx, d2)) != pair:
-            continue
-        gm = BIT[d] | BIT[d2]
-        erased = []
-        for c in pair:
-            for dx in DIGITS_OF[grid.masks[c] & ~gm]:
-                grid.masks[c] &= ~BIT[dx]
-                erased.append((c, dx))
-        boards.claim(pair, gm)
-        digits = tuple(sorted((d, d2)))
-        finds.append(Phase1Find("hidden_double", bx, pair, digits))
-        events.append(TraceEvent("1.3", "hidden double", structure=Structure("box", bx),
-                                 cells=pair, digits=digits, erased=tuple(erased)))
-        _eager_rule22(boards, events, finds)
-        return
+        if d2 != d and registry.entries.get((bx, d2)) == pair:
+            _claim(boards, bx, pair, tuple(sorted((d, d2))), "hidden_double", events, finds)
+            return
     if not triples_enabled:
         return
     others = [(dd, p) for (bb, dd), p in registry.entries.items()
@@ -242,19 +243,8 @@ def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
         spots = set(pair) | set(p2) | set(p3)
         if len(spots) != 3 or any(c in registry.claimed for c in spots):
             continue
-        trio = tuple(sorted(spots))
-        gm = BIT[d] | BIT[d2] | BIT[d3]
-        erased = []
-        for c in trio:
-            for dx in DIGITS_OF[grid.masks[c] & ~gm]:
-                grid.masks[c] &= ~BIT[dx]
-                erased.append((c, dx))
-        boards.claim(trio, gm)
-        digits = tuple(sorted((d, d2, d3)))
-        finds.append(Phase1Find("hidden_triple", bx, trio, digits))
-        events.append(TraceEvent("1.3", "hidden triple", structure=Structure("box", bx),
-                                 cells=trio, digits=digits, erased=tuple(erased)))
-        _eager_rule22(boards, events, finds)
+        _claim(boards, bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))),
+               "hidden_triple", events, finds)
         return
 
 
@@ -301,15 +291,13 @@ def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
                    triples_enabled: bool = False, *, trace: list | None = None) -> Phase1Run:
     """Repeat step1_scan until a pass yields no new finds (usually 2-3 passes)."""
     events = trace if trace is not None else []
-    start = len(events)
-    run = Phase1Run(events=events)
+    run = Phase1Run()
     while True:
         finds = step1_scan(grid, registry, triples_enabled, trace=events)
         run.finds.extend(finds)
         run.finds_per_pass.append(len(finds))
         if not finds:
             break
-    run.events = events[start:]
     return run
 
 
@@ -326,30 +314,18 @@ def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
     """
     events = trace if trace is not None else []
     masks = grid.masks
-    for (bx, d), pair in registry.entries.items():
-        b = BIT[d]
-        common = set(STRUCTS_OF[pair[0]]) & set(STRUCTS_OF[pair[1]])
-        erased = []
-        for s in sorted(common):
-            for c in CELLS_OF[s]:
-                if c in pair or grid.solved[c] or not masks[c] & b:
-                    continue
-                masks[c] &= ~b
-                erased.append((c, d))
-                if not masks[c]:
-                    raise ContradictionFound("empty_cell", cell=c)
-        if erased:
-            events.append(TraceEvent("2", "half double block",
-                                     structure=Structure("box", bx),
-                                     cells=pair, digits=(d,), erased=tuple(erased)))
-    for cells, gm in registry.claim_groups:
+    blocks = [(pair, BIT[d], "half double block", Structure("box", bx))
+              for (bx, d), pair in registry.entries.items()]
+    blocks += [(cells, gm, "double block" if len(cells) == 2 else "triple block", None)
+               for cells, gm in registry.claim_groups]
+    for cells, gm, rule, structure in blocks:
         common = set(STRUCTS_OF[cells[0]])
         for c in cells[1:]:
             common &= set(STRUCTS_OF[c])
         erased = []
         for s in sorted(common):
             for c in CELLS_OF[s]:
-                if c in cells or grid.solved[c]:
+                if c in cells or not masks[c] & gm:
                     continue
                 for dx in DIGITS_OF[masks[c] & gm]:
                     masks[c] &= ~BIT[dx]
@@ -357,8 +333,7 @@ def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
                 if not masks[c]:
                     raise ContradictionFound("empty_cell", cell=c)
         if erased:
-            rule = "double block" if len(cells) == 2 else "triple block"
-            events.append(TraceEvent("2", rule, cells=cells,
+            events.append(TraceEvent("2", rule, structure=structure, cells=cells,
                                      digits=DIGITS_OF[gm], erased=tuple(erased)))
     for c in range(81):
         if grid.solved[c]:

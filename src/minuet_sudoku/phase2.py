@@ -34,7 +34,6 @@ class GroupFind:
 class FixpointRun:
     finds: list[GroupFind] = field(default_factory=list)
     finds_per_sweep: list[int] = field(default_factory=list)
-    events: list[TraceEvent] = field(default_factory=list)
 
     @property
     def sweeps(self) -> int:
@@ -253,7 +252,7 @@ def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
 
 
 def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = None,
-                   view: str | None = None, dirty=None) -> FixpointRun:
+                   view: str | None = None, touched: set[int] | None = None) -> FixpointRun:
     """Sweep structures (singles, then doubles, then triples each) until a
     sweep yields zero finds.  Total candidate count strictly decreases on any
     sweep with a find, so this terminates.  Raises ContradictionFound on
@@ -263,12 +262,16 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
     sweep visits only the dirty ones: a structure dirtied ahead of the
     cursor is scanned later in the same sweep, one dirtied at or behind it
     waits for the next.  Finds, events, sweep counts and the final grid are
-    exactly those of scanning all 27 structures every sweep.
+    exactly those of scanning all 27 structures every sweep.  ``touched``
+    names the cells changed since the grid was last at a fixpoint; only
+    their structures start dirty.  Without it, all 27 do.
     """
     events = trace if trace is not None else []
-    start = len(events)
-    run = FixpointRun(events=events)
-    current = sorted(range(27) if dirty is None else set(dirty))
+    run = FixpointRun()
+    if touched is None:
+        current = list(range(27))
+    else:
+        current = sorted({s for c in touched for s in STRUCTS_OF[c]})
     in_current = set(current)
     next_sweep: set[int] = set()
     while current:
@@ -278,13 +281,13 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
             s = current[idx]
             idx += 1
             in_current.discard(s)
-            touched: set[int] = set()
-            found = _scan_singles(grid, s, events, view, touched)
-            found += _scan_doubles(grid, s, events, view, touched, use_guards)
-            found += _scan_triples(grid, s, events, view, touched, use_guards)
+            changed: set[int] = set()
+            found = _scan_singles(grid, s, events, view, changed)
+            found += _scan_doubles(grid, s, events, view, changed, use_guards)
+            found += _scan_triples(grid, s, events, view, changed, use_guards)
             n += len(found)
             run.finds.extend(found)
-            for c in touched:
+            for c in changed:
                 for ds in STRUCTS_OF[c]:
                     if ds > s and ds not in in_current:
                         insort(current, ds)
@@ -297,5 +300,4 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
         next_sweep.clear()
     if not run.finds_per_sweep or run.finds_per_sweep[-1] != 0:
         run.finds_per_sweep.append(0)
-    run.events = events[start:]
     return run

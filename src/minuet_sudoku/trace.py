@@ -14,7 +14,7 @@ class TraceEvent:
     """One applied deduction: which rule fired, where, and what it changed.
 
     ``step`` uses the method's step tags ("1.1", "1.2", "1.3", "2", "3.1",
-    "3.2", "3.3", "4", "4a", "4b", "commit").  Events on the base grid carry
+    "3.2", "3.3", "4", "4a", "commit").  Events on the base grid carry
     ``view=None``; events inside a hypothesis carry "circle" or "square" and
     are ignored by :func:`replay_trace`.
     """

@@ -1,3 +1,5 @@
+import pytest
+
 from minuet_sudoku import harness
 from minuet_sudoku.cli import main
 
@@ -95,7 +97,7 @@ def test_batch_command_empty_corpus(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "minuet.cfg"
-    cfg.write_text("trace = summary  # verbosity\nmax-starters = 5\n")
+    cfg.write_text("trace = summary  # verbosity\nphase1-triples = yes\n")
     assert main(["solve", EASY, "--config", str(cfg)]) == 0
     assert "trace:" in capsys.readouterr().out
 
@@ -104,3 +106,40 @@ def test_config_file_bad_key(tmp_path, capsys):
     cfg = tmp_path / "minuet.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["solve", EASY, "--config", str(cfg)]) == 1
+
+
+def test_usage_errors_exit_one_not_two(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n")
+    assert main(["solve", EASY, "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["batch", str(corpus), "--jobs", "abc"]) == 1
+    assert "invalid int value" in capsys.readouterr().err
+    assert main([]) == 1
+
+
+@pytest.mark.parametrize("command,line", [("batch", "phase1-triples = yes"),
+                                          ("batch", "trace = full"),
+                                          ("solve", "jobs = 2")])
+def test_config_key_the_command_does_not_take_exits_one(tmp_path, capsys,
+                                                        command, line):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n")
+    cfg = tmp_path / "minuet.cfg"
+    cfg.write_text(line + "\n")
+    target = str(corpus) if command == "batch" else EASY
+    assert main([command, target, "--config", str(cfg)]) == 1
+    key = line.split(" = ")[0]
+    assert f"key {key!r} does not apply to {command!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--level", "0")])
+def test_batch_bad_jobs_or_level_exit_one_before_solving(tmp_path, capsys, monkeypatch,
+                                                         flag, value):
+    calls = []
+    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None: calls.append(grid))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n{MEDIUM}\n")
+    assert main(["batch", str(corpus), flag, value]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []

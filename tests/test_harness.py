@@ -150,6 +150,16 @@ def test_batch_times_only_the_solver(tmp_path, monkeypatch):
     assert "solver time per puzzle" in result.stats.render()
 
 
+@pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -3}, {"level": 1.5},
+                                    {"level": 0.0}, {"level": 1.0}])
+def test_batch_rejects_bad_arguments_before_any_solve(tmp_path, monkeypatch, kwargs):
+    calls = []
+    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None: calls.append(grid))
+    with pytest.raises(ValueError):
+        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), **kwargs)
+    assert calls == []
+
+
 def test_batch_reports_are_deterministic(tmp_path):
     corpus = small_corpus(tmp_path, [STALL])
     a = batch_solve(corpus)

@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
 from minuet_sudoku import (BothContradicted,
                            HalfDoubleRegistry, NoStarters, SolveConfig, Starter,
-                           brute_solve, commit_retained, dance_alone,
+                           brute_solve, commit_retained, count_solutions, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, validate_report)
-from minuet_sudoku.grid import BIT, Grid, mask_of
+from minuet_sudoku import minuet
+from minuet_sudoku.grid import BIT, PEERS, Grid, mask_of
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
+from conftest import random_full_grid
 from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, STALL,
                      TRICKY, TRICKY_SOLUTION)
 
@@ -179,33 +183,69 @@ def test_double_blocked_candidate_is_erased_from_intersection():
     assert 4 not in base.candidates(0)  # row 0 meets column 0 at cell 0
 
 
-def test_trick_b_machinery_with_sparse_view_marks():
-    # solved marks written without per-cell propagation, as a hand-solver
-    # would: only the double-blocking trick can see these eliminations
-    base = Grid()
-    circle = HypothesisView("circle", base.copy())
-    square = HypothesisView("square", base.copy())
-    circle.shadow.solved[3] = 4
-    square.shadow.solved[36] = 4
-    state = MinuetState(Starter("bivalue", (50,), (1, 2), None, 0), circle, square)
-    events = []
-    dance_together(state, base, events)
-    assert 4 not in base.candidates(0)
-    assert any(ev.rule == "trick (b)" and ev.digits == (4,) for ev in events)
+def _dug_puzzle(rng: random.Random) -> str:
+    """Empty the cells of a random full grid in random order, refilling any
+    whose removal would leave more than one solution."""
+    chars = list(random_full_grid(rng))
+    order = list(range(81))
+    rng.shuffle(order)
+    for c in order:
+        keep, chars[c] = chars[c], "."
+        if count_solutions(parse_grid("".join(chars))) != 1:
+            chars[c] = keep
+    return "".join(chars)
 
 
-def test_trick_b_special_case_same_structure():
-    base = Grid()
-    circle = HypothesisView("circle", base.copy())
-    square = HypothesisView("square", base.copy())
-    circle.shadow.solved[0] = 4  # both in row 0, sparse marks
-    square.shadow.solved[8] = 4
-    state = MinuetState(Starter("bivalue", (50,), (1, 2), None, 0), circle, square)
-    events = []
-    dance_together(state, base, events)
-    for c in range(1, 8):
-        assert 4 not in base.candidates(c)
-    assert any(ev.rule == "trick (b)" for ev in events)
+def test_trick_b_lemma_holds_on_dug_puzzles():
+    # the lemma dance_together relies on to leave trick (b) to trick (a):
+    # in a live view, no peer of a solved cell keeps or inks its digit
+    checked = []
+
+    def monitor(base, circle, square):
+        for view in (circle, square):
+            if not view.alive:
+                continue
+            shadow = view.shadow
+            for c in range(81):
+                d = shadow.solved[c]
+                if d:
+                    for p in PEERS[c]:
+                        assert shadow.solved[p] != d
+                        assert not shadow.masks[p] & BIT[d]
+        checked.append(1)
+
+    cfg = SolveConfig(monitor=monitor)
+    for seed in range(80):
+        puzzle = _dug_puzzle(random.Random(seed))
+        outcome = solve(puzzle, cfg)
+        if outcome.status == "solved":
+            assert outcome.grid.solved == brute_solve(parse_grid(puzzle)).solved
+        else:
+            assert outcome.status == "conjecture_failure"
+            validate_report(outcome.report)
+    assert checked  # some of these puzzles reach dance_together
+
+
+def test_commits_count_only_minuets_that_commit(monkeypatch):
+    commits, outcomes = [], []
+    real_commit, real_run = minuet.commit_retained, minuet.run_minuet
+
+    def commit(*args, **kwargs):
+        commits.append(1)
+        return real_commit(*args, **kwargs)
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        outcomes.append(result[0])
+        return result
+
+    monkeypatch.setattr(minuet, "commit_retained", commit)
+    monkeypatch.setattr(minuet, "run_minuet", run)
+    outcome = solve(TRICKY)
+    assert outcome.status == "solved"
+    # one of TRICKY's minuets progresses by trick (a) alone, with no commit
+    assert outcomes.count("progress") == 3
+    assert outcome.stats.commits == len(commits) == 2
 
 
 def test_union_soundness_on_fixture_puzzles():
@@ -312,7 +352,7 @@ def test_solve_leaves_the_callers_grid_alone():
 
 def test_tricky_fixture_exercises_joint_eliminations():
     outcome = solve(TRICKY)
-    assert any(ev.step in ("4a", "4b") for ev in outcome.trace)
+    assert any(ev.step == "4a" for ev in outcome.trace)
 
 
 def test_solve_trace_replays_to_final_grid():
@@ -350,8 +390,3 @@ def test_solve_detects_unsolvable_grid():
     outcome = solve(puzzle)
     assert outcome.status == "ill_posed"
 
-
-def test_solve_max_starters_cap():
-    outcome = solve(STALL, SolveConfig(max_starters=3))
-    assert outcome.status == "conjecture_failure"
-    assert len(outcome.report.starters_tried) == 3

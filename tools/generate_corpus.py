@@ -97,7 +97,7 @@ def classify(puzzle: str) -> str:
         return "stall"
     if outcome.stats.starters_danced == 0:
         return "medium"
-    tricks = any(ev.step in ("4a", "4b") for ev in outcome.trace)
+    tricks = any(ev.step == "4a" for ev in outcome.trace)
     return "hard+tricks" if tricks else "hard"
 
 
@@ -158,7 +158,7 @@ def main() -> int:
             header + "# puzzles the full method failed to finish (candidate counterexamples)\n"
             + "\n".join(stalls) + "\n")
     print(f"done: {len(easy)} easy, {len(medium)} medium, {len(hard)} hard "
-          f"({tricky} exercising tricks a/b), {len(stalls)} stalls, "
+          f"({tricky} exercising trick (a)), {len(stalls)} stalls, "
           f"{tried} minimal puzzles tried in {time.time() - t0:.0f}s")
     return 0
 
