@@ -22,6 +22,10 @@ EXIT_USAGE = 1
 EXIT_FAILURE = 2
 EXIT_ILL_POSED = 3
 
+TRACE_LEVELS = ("summary", "full")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
 
 def _read_puzzle(arg: str):
     """Accept an 81-char puzzle literal or a path to a file holding one."""
@@ -29,11 +33,29 @@ def _read_puzzle(arg: str):
     return parse_grid(text)
 
 
+def _trace_level(value: str) -> str:
+    if value not in TRACE_LEVELS:
+        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(TRACE_LEVELS)})")
+    return value
+
+
+def _boolean(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(f"invalid boolean {value!r} (choose from "
+                         f"{'/'.join(_BOOLEANS)}, any case)") from None
+
+
 def _config_file_defaults(path: str) -> dict:
-    """key=value lines mirroring the flags; '#' comments allowed."""
+    """key=value lines mirroring the flags; '#' comments allowed.
+
+    Each value is checked as strictly as its flag: a bad one raises
+    ValueError naming the file, line and key.
+    """
     mapping = {
-        "trace": ("trace", str),
-        "phase1-triples": ("phase1_triples", lambda v: v.lower() in ("1", "true", "yes", "on")),
+        "trace": ("trace", _trace_level),
+        "phase1-triples": ("phase1_triples", _boolean),
         "jobs": ("jobs", int),
         "level": ("level", float),
         "report": ("report", str),
@@ -49,7 +71,10 @@ def _config_file_defaults(path: str) -> dict:
         if key not in mapping:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         dest, conv = mapping[key]
-        out[dest] = conv(value)
+        try:
+            out[dest] = conv(value)
+        except ValueError as e:
+            raise ValueError(f"{path}:{line_no}: {key}: {e}") from None
     return out
 
 
@@ -71,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one puzzle with the full method")
     p.add_argument("puzzle", help="81-char puzzle string or path to a file")
-    p.add_argument("--trace", choices=["summary", "full"], default=None,
+    p.add_argument("--trace", choices=TRACE_LEVELS, default=None,
                    help="print the solve log at this verbosity")
     p.add_argument("--phase1-triples", action="store_true", default=None,
                    help="also hunt hidden triples during Phase I")

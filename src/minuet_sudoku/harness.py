@@ -77,41 +77,49 @@ class PuzzleResult:
     report: FailureReport | None = None
     oracle_mismatch: str | None = None
     error: str | None = None  # "{type}: {message}" when status is "error"
+    oracle_elapsed: float = 0.0  # seconds in verify_well_posed; 0.0 when it did not finish
 
 
 def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
-    """Oracle-check and solve one entry, timing the solver alone.
+    """Oracle-check and solve one entry, timing the oracle check and the
+    solver apart.
 
     An exception becomes an "error" result, so one bad puzzle does not lose
     the rest of the batch.
     """
     entry, cfg = args
     well_posedness = "unknown"
+    oracle_elapsed = 0.0
     try:
         grid = parse_grid(entry.text)
+        t0 = time.perf_counter()
         wp = oracle.verify_well_posed(grid)
+        oracle_elapsed = time.perf_counter() - t0
         well_posedness = wp.status
         if not wp.is_well_posed:
-            return PuzzleResult(entry.line_no, "ill_posed", wp.status, 0.0)
+            return PuzzleResult(entry.line_no, "ill_posed", wp.status, 0.0,
+                                oracle_elapsed=oracle_elapsed)
         t0 = time.perf_counter()
         outcome: SolveOutcome = solve(grid, cfg)
         elapsed = time.perf_counter() - t0
     except Exception as e:
         return PuzzleResult(entry.line_no, "error", well_posedness, 0.0,
-                            error=f"{type(e).__name__}: {e}")
+                            error=f"{type(e).__name__}: {e}",
+                            oracle_elapsed=oracle_elapsed)
     if outcome.status == "solved":
         answer = serialize_grid(outcome.grid)
         truth = serialize_grid(wp.solution)
         mismatch = None if answer == truth else truth
         return PuzzleResult(entry.line_no, "solved", wp.status, elapsed,
                             outcome.stats.starters_danced, answer,
-                            oracle_mismatch=mismatch)
+                            oracle_mismatch=mismatch, oracle_elapsed=oracle_elapsed)
     if outcome.status == "conjecture_failure":
         return PuzzleResult(entry.line_no, "failure", wp.status, elapsed,
-                            outcome.stats.starters_danced, report=outcome.report)
+                            outcome.stats.starters_danced, report=outcome.report,
+                            oracle_elapsed=oracle_elapsed)
     # sound rules cannot contradict on a puzzle the oracle already verified
     return PuzzleResult(entry.line_no, "ill_posed", wp.status, elapsed,
-                        oracle_mismatch=outcome.reason)
+                        oracle_mismatch=outcome.reason, oracle_elapsed=oracle_elapsed)
 
 
 @dataclass(slots=True)
@@ -123,7 +131,8 @@ class BatchStats:
     ill_posed: int
     errors: int  # puzzles whose oracle check or solve raised; outside every other count
     starter_counts: list[int]
-    times: list[float]
+    times: list[float]  # solver seconds per well-posed puzzle
+    oracle_times: list[float]  # seconds per puzzle in its own well-posedness check
     level: float
     confidence_bound: float | None
 
@@ -140,11 +149,12 @@ class BatchStats:
             lines.append(
                 "minuet starters used: median %g, max %d"
                 % (statistics.median(self.starter_counts), max(self.starter_counts)))
-        if self.times:
-            ms = sorted(t * 1000 for t in self.times)
-            p90 = ms[min(len(ms) - 1, int(0.9 * len(ms)))]
-            lines.append("solver time per puzzle: median %.1f ms, p90 %.1f ms, max %.1f ms"
-                         % (statistics.median(ms), p90, ms[-1]))
+        for label, times in (("solver", self.times), ("oracle", self.oracle_times)):
+            if times:
+                ms = sorted(t * 1000 for t in times)
+                p90 = ms[min(len(ms) - 1, int(0.9 * len(ms)))]
+                lines.append("%s time per puzzle: median %.1f ms, p90 %.1f ms, max %.1f ms"
+                             % (label, statistics.median(ms), p90, ms[-1]))
         if self.confidence_bound is not None:
             lines.append(
                 "failure-rate upper bound: %.4f%% at %g%% confidence "
@@ -212,6 +222,7 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
         failures=failures, ill_posed=ill, errors=errors,
         starter_counts=[r.starters for r in attempted],
         times=[r.elapsed for r in attempted],
+        oracle_times=[r.oracle_elapsed for r in results if r.well_posedness != "unknown"],
         level=level, confidence_bound=bound)
     return BatchResult(stats, results, reports)
 

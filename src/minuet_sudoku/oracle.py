@@ -1,18 +1,20 @@
-"""Independent brute-force backtracking oracle.
+"""Independent backtracking oracle with singles propagation.
 
 Used to verify well-posedness, supply ground-truth solutions for soundness
 tests, and validate counterexample reports.  Deliberately shares nothing with
-the deduction modules beyond the grid type itself: the search looks only at
-inked cells and re-derives everything from the basic rule, so it is a
-genuinely independent check on the solver.
+the deduction modules: it imports only the grid type, the topology tables and
+the consistency check.  The search builds its own candidate masks from the
+inked cells alone, ignoring the grid's pencil marks, and propagates naked and
+hidden singles with its own code before each branch, so it is a genuinely
+independent check on the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import (ALL_DIGITS, BIT, BOX_OF, COL_OF, DIGITS_OF, ROW_OF,
-                   Grid, check_consistency)
+from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, Grid,
+                   check_consistency)
 
 MIN_CLUES_FOR_UNIQUE = 17  # no 16-clue puzzle has a unique solution
 
@@ -31,91 +33,103 @@ class WellPosedness:
         return self.status == "well_posed"
 
 
-def _search(values: list[int], cap: int, most_constrained: bool) -> tuple[int, list[int] | None]:
-    """Count completions of the inked cells up to ``cap``; return (count, first solution)."""
-    row_used = [0] * 9
-    col_used = [0] * 9
-    box_used = [0] * 9
-    for i, d in enumerate(values):
-        if not d:
-            continue
-        b = BIT[d]
-        r, c, x = ROW_OF[i], COL_OF[i], BOX_OF[i]
-        if (row_used[r] | col_used[c] | box_used[x]) & b:
-            return 0, None
-        row_used[r] |= b
-        col_used[c] |= b
-        box_used[x] |= b
+def _propagate(cand: list[int], todo: list[int]) -> bool:
+    """Run naked and hidden singles on ``cand`` to a fixpoint, in place.
 
-    empties = [i for i in range(81) if not values[i]]
+    A cell whose mask is one bit holds that digit.  ``todo`` lists the cells
+    whose digit is not yet erased from their peers.  Returns False at a dead
+    end: a cell with no candidate, or a unit with a digit that fits nowhere.
+    """
+    while True:
+        while todo:
+            cell = todo.pop()
+            b = cand[cell]
+            for p in PEERS[cell]:
+                m = cand[p]
+                if m & b:
+                    m ^= b
+                    if not m:
+                        return False
+                    cand[p] = m
+                    if not m & (m - 1):
+                        todo.append(p)
+        for unit in CELLS_OF:
+            seen = twice = 0
+            for c in unit:
+                m = cand[c]
+                twice |= seen & m
+                seen |= m
+            if seen != ALL_DIGITS:
+                return False
+            once = seen & ~twice
+            if once:
+                for c in unit:
+                    m = cand[c] & once
+                    if m and m != cand[c]:
+                        if m & (m - 1):
+                            return False  # two digits with this cell as their only place
+                        cand[c] = m
+                        todo.append(c)
+        if not todo:
+            return True
+
+
+def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
+    """Count completions of the inked cells up to ``cap``; return (count, first solution).
+
+    The state is 81 candidate masks built from the inked cells alone.  Each
+    node propagates singles, then branches on a cell with the fewest
+    candidates (ties by ascending index), digits ascending, each branch on
+    its own copy of the masks.
+    """
+    cand = [BIT[d] if d else ALL_DIGITS for d in values]
     first: list[list[int]] = []
 
-    def dfs(budget: int) -> int:
-        pick = -1
-        pick_opts = 0
-        if most_constrained:
-            best = 10
-            for i in empties:
-                if values[i]:
-                    continue
-                opts = ALL_DIGITS & ~(row_used[ROW_OF[i]] | col_used[COL_OF[i]] | box_used[BOX_OF[i]])
-                n = opts.bit_count()
-                if n == 0:
-                    return 0
+    def dfs(cand: list[int], budget: int) -> int:
+        pick, best = -1, 10
+        for i, m in enumerate(cand):
+            if m & (m - 1):
+                n = m.bit_count()
                 if n < best:
-                    best = n
-                    pick = i
-                    pick_opts = opts
-                    if n == 1:
+                    pick, best = i, n
+                    if n == 2:
                         break
-        else:
-            for i in empties:
-                if not values[i]:
-                    pick = i
-                    pick_opts = ALL_DIGITS & ~(
-                        row_used[ROW_OF[i]] | col_used[COL_OF[i]] | box_used[BOX_OF[i]])
-                    break
         if pick < 0:
             if not first:
-                first.append(values.copy())
+                first.append([DIGITS_OF[m][0] for m in cand])
             return 1
-        r, c, x = ROW_OF[pick], COL_OF[pick], BOX_OF[pick]
         count = 0
-        for d in DIGITS_OF[pick_opts]:
-            b = BIT[d]
-            values[pick] = d
-            row_used[r] |= b
-            col_used[c] |= b
-            box_used[x] |= b
-            count += dfs(budget - count)
-            values[pick] = 0
-            row_used[r] &= ~b
-            col_used[c] &= ~b
-            box_used[x] &= ~b
-            if count >= budget:
-                break
+        for d in DIGITS_OF[cand[pick]]:
+            child = cand.copy()
+            child[pick] = BIT[d]
+            if _propagate(child, [pick]):
+                count += dfs(child, budget - count)
+                if count >= budget:
+                    break
         return count
 
-    n = dfs(cap)
+    if not _propagate(cand, [i for i in range(81) if values[i]]):
+        return 0, None
+    n = dfs(cand, cap)
     return n, (first[0] if first else None)
 
 
-def count_solutions(grid: Grid, cap: int = 2, *, most_constrained: bool = True) -> int:
+def count_solutions(grid: Grid, cap: int = 2) -> int:
     """min(cap, number of completions of the inked cells).
 
-    Deterministic: most-constrained cell first (ties by ascending index),
-    digits ascending.  Pass ``most_constrained=False`` for naive ascending
-    cell order; counts agree either way.
+    The grid's pencil marks are ignored.  The search propagates naked and
+    hidden singles with its own code, sharing nothing with the deduction
+    modules, and branches on a cell with the fewest candidates.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n, _ = _search(grid.solved.copy(), cap, most_constrained)
+    n, _ = _search(grid.solved, cap)
     return n
 
 
 def brute_solve(grid: Grid) -> Grid:
     """The unique completion of a well-posed grid.  Raises NotWellPosed otherwise."""
-    n, sol = _search(grid.solved.copy(), 2, True)
+    n, sol = _search(grid.solved, 2)
     if n != 1 or sol is None:
         raise NotWellPosed(f"solution count is {'0' if n == 0 else '>= 2'}")
     return Grid(sol, grid.given.copy(), [0] * 81)
@@ -131,7 +145,7 @@ def verify_well_posed(grid: Grid) -> WellPosedness:
         return WellPosedness("no_solution")
     if grid.inked_count() < MIN_CLUES_FOR_UNIQUE:
         return WellPosedness("multiple_solutions")
-    n, sol = _search(grid.solved.copy(), 2, True)
+    n, sol = _search(grid.solved, 2)
     if n == 0:
         return WellPosedness("no_solution")
     if n > 1:

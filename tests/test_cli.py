@@ -1,6 +1,6 @@
 import pytest
 
-from minuet_sudoku import harness
+from minuet_sudoku import cli, harness
 from minuet_sudoku.cli import main
 
 from puzzles import EASY, EASY_SOLUTION, MEDIUM, STALL
@@ -106,6 +106,43 @@ def test_config_file_bad_key(tmp_path, capsys):
     cfg = tmp_path / "minuet.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["solve", EASY, "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("line", ["trace = bogus", "trace = Full", "trace =",
+                                  "phase1-triples = maybe", "phase1-triples = 2",
+                                  "phase1-triples ="])
+def test_config_file_bad_value_exits_one_before_solving(tmp_path, capsys, monkeypatch, line):
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda grid, cfg=None: calls.append(grid))
+    cfg = tmp_path / "minuet.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["solve", EASY, "--config", str(cfg)]) == 1
+    assert f"{cfg}:1: {line.split(' =')[0]}: invalid" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("value,expected", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("on", True), ("0", False), ("False", False),
+                                            ("NO", False), ("Off", False)])
+def test_config_file_phase1_triples_words(tmp_path, monkeypatch, value, expected):
+    configs = []
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve",
+                        lambda grid, cfg=None: configs.append(cfg) or real_solve(grid, cfg))
+    cfg = tmp_path / "minuet.cfg"
+    cfg.write_text(f"phase1-triples = {value}\n")
+    assert main(["solve", EASY, "--config", str(cfg)]) == 0
+    assert [c.phase1_triples for c in configs] == [expected]
+
+
+@pytest.mark.parametrize("level", ["summary", "full"])
+def test_config_file_trace_levels(tmp_path, capsys, level):
+    cfg = tmp_path / "minuet.cfg"
+    cfg.write_text(f"trace = {level}\n")
+    assert main(["solve", EASY, "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trace:")
+    assert (" at r" in out) == (level == "full")  # only full lists the cells of each event
 
 
 def test_usage_errors_exit_one_not_two(tmp_path, capsys):

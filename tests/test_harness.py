@@ -133,6 +133,7 @@ def test_batch_keeps_going_past_a_puzzle_that_raises(tmp_path, monkeypatch, jobs
     stats = result.stats
     assert (stats.solved, stats.failures, stats.ill_posed, stats.errors) == (3, 0, 0, 1)
     assert stats.well_posed == 3 and len(stats.times) == 3
+    assert len(stats.oracle_times) == 4  # the raising entry passed its oracle check
     assert stats.confidence_bound == pytest.approx(confidence_upper_bound(3, 0, 0.90))
     assert "errors:               1" in stats.render()
 
@@ -147,7 +148,12 @@ def test_batch_times_only_the_solver(tmp_path, monkeypatch):
     monkeypatch.setattr(harness.oracle, "verify_well_posed", slow_verify)
     result = batch_solve(small_corpus(tmp_path, [EASY]))
     assert 0 < result.results[0].elapsed < 0.5
-    assert "solver time per puzzle" in result.stats.render()
+    assert result.results[0].oracle_elapsed >= 0.5
+    lines = result.stats.render().splitlines()
+    medians = {line.split(" time per puzzle: ")[0]: float(line.split("median ")[1].split(" ms")[0])
+               for line in lines if " time per puzzle: " in line}
+    assert medians["solver"] < 500
+    assert medians["oracle"] >= 500
 
 
 @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -3}, {"level": 1.5},

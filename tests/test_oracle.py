@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from minuet_sudoku import (Grid, NotWellPosed, brute_solve, check_consistency,
                            count_solutions, parse_grid, serialize_grid,
                            verify_well_posed)
 from minuet_sudoku import oracle
+from minuet_sudoku.grid import PEERS
 
 from conftest import random_full_grid
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
@@ -32,17 +35,81 @@ def test_count_rejects_bad_cap():
         count_solutions(Grid(), 0)
 
 
-def test_count_is_search_order_independent():
-    rng = random.Random(3)
-    for _ in range(5):
-        sol = random_full_grid(rng)
-        chars = list(sol)
-        for c in rng.sample(range(81), 55):
+def naive_count(text: str, cap: int) -> int:
+    """min(cap, completions of ``text``): plain backtracking, no propagation.
+
+    The empty cells are visited in one fixed order, fewest candidates among
+    the givens first (row-major order takes seconds on some 25-clue grids).
+    """
+    units = [(r, 9 + c, 18 + 3 * (r // 3) + c // 3) for r in range(9) for c in range(9)]
+    used = [0] * 27  # bit d set: digit d is placed in the unit
+    for i, ch in enumerate(text):
+        for u in units[i] if ch != "." else ():
+            used[u] |= 1 << int(ch)
+
+    def options(i: int) -> list[int]:
+        taken = used[units[i][0]] | used[units[i][1]] | used[units[i][2]]
+        return [d for d in range(1, 10) if not taken >> d & 1]
+
+    order = sorted((i for i in range(81) if text[i] == "."), key=lambda i: len(options(i)))
+
+    def count(k: int, budget: int) -> int:
+        if k == len(order):
+            return 1
+        n = 0
+        for d in options(order[k]):
+            for u in units[order[k]]:
+                used[u] ^= 1 << d
+            n += count(k + 1, budget - n)
+            for u in units[order[k]]:
+                used[u] ^= 1 << d
+            if n >= budget:
+                break
+        return n
+
+    return count(0, cap)
+
+
+def dug_grids(seed: int, n: int, clues: tuple[int, int]) -> list[tuple[str, str]]:
+    """(puzzle, source grid) pairs: ``n`` seeded full grids dug to a clue count in ``clues``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        full = random_full_grid(rng)
+        chars = list(full)
+        for c in rng.sample(range(81), 81 - rng.randint(*clues)):
             chars[c] = "."
-        g = parse_grid("".join(chars))
-        for cap in (1, 2, 3):
-            assert (count_solutions(g, cap, most_constrained=True)
-                    == count_solutions(g, cap, most_constrained=False))
+        out.append(("".join(chars), full))
+    return out
+
+
+def with_one_given_changed(rng: random.Random, puzzle: str) -> str:
+    """The puzzle with one given replaced by another digit none of its peers holds."""
+    chars = list(puzzle)
+    for i in rng.sample(range(81), 81):
+        if chars[i] == ".":
+            continue
+        held = {chars[p] for p in PEERS[i]} | {chars[i]}
+        free = [d for d in "123456789" if d not in held]
+        if free:
+            chars[i] = rng.choice(free)
+            return "".join(chars)
+    raise AssertionError("no given can change without a conflict")
+
+
+def test_count_matches_naive_counter():
+    cases = dug_grids(5, 48, (22, 60))
+    rng = random.Random(6)
+    broken = [with_one_given_changed(rng, p) for p, _ in dug_grids(7, 16, (45, 60))]
+    seen = set()
+    for puzzle, source in cases + [(p, None) for p in broken]:
+        g = parse_grid(puzzle)
+        counts = [count_solutions(g, cap) for cap in (1, 2, 3)]
+        assert counts == [naive_count(puzzle, cap) for cap in (1, 2, 3)], puzzle
+        seen.add(counts[-1])
+        if source is not None and counts[-1] == 1:
+            assert serialize_grid(brute_solve(g)) == source
+    assert seen == {0, 1, 2, 3}  # no solution, unique, and many all occur
 
 
 def test_brute_solve_identity_on_solved_grid():
@@ -116,3 +183,26 @@ def test_verify_fixture_puzzles_well_posed(puzzle):
     assert wp.is_well_posed
     assert wp.solution.is_complete()
     assert check_consistency(wp.solution) is None
+
+
+def test_verify_pins_every_fixed_input(full_corpus, solutions):
+    """Every corpus puzzle and STALL is well-posed, with a completion that keeps
+    the givens and obeys the rules."""
+    for puzzle in full_corpus + [STALL]:
+        wp = verify_well_posed(parse_grid(puzzle))
+        assert wp.status == "well_posed", puzzle
+        assert wp.solution.is_complete() and check_consistency(wp.solution) is None, puzzle
+        sol = serialize_grid(wp.solution)
+        assert all(ch == s or ch in ".0" for ch, s in zip(puzzle, sol)), puzzle
+        if puzzle in solutions:
+            assert sol == solutions[puzzle]  # brute_solve gives the same completion
+
+
+def test_oracle_imports_nothing_from_the_deduction_modules():
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported == {"__future__", "dataclasses", ".grid"}
