@@ -53,7 +53,7 @@ CELLS_OF: tuple[tuple[int, ...], ...] = tuple(
     ]
 )
 
-CELLSET_OF: tuple[frozenset[int], ...] = tuple(frozenset(cs) for cs in CELLS_OF)
+STRUCT_BITS = tuple(sum(1 << c for c in cells) for cells in CELLS_OF)  # 81-bit, by flat id
 
 STRUCTS_OF = tuple((ROW_OF[i], 9 + COL_OF[i], 18 + BOX_OF[i]) for i in range(81))
 
@@ -66,6 +66,31 @@ PEERS: tuple[tuple[int, ...], ...] = tuple(
 def flat_structure(s: Structure) -> int:
     offset = {"row": 0, "col": 9, "box": 18}[s.kind]
     return offset + s.index
+
+
+def shared_structures(cells) -> tuple[int, ...]:
+    """Flat ids, ascending, of the structures that contain all the cells."""
+    board = 0
+    for c in cells:
+        board |= 1 << c
+    return tuple(s for s in STRUCTS_OF[cells[0]] if STRUCT_BITS[s] & board == board)
+
+
+def digit_positions(masks: list[int], s: int) -> list[int]:
+    """Structure ``s`` as a digit -> positions table: bit ``i`` of entry ``d``
+    is set when ``d`` is a candidate of ``CELLS_OF[s][i]``.  Cells ascend, so
+    bit order is cell order."""
+    pos = [0] * 10
+    for i, c in enumerate(CELLS_OF[s]):
+        for d in DIGITS_OF[masks[c]]:
+            pos[d] |= 1 << i
+    return pos
+
+
+def cells_at(s: int, positions: int) -> tuple[int, ...]:
+    """The cells of structure ``s`` at the set bits of a position mask."""
+    cells = CELLS_OF[s]
+    return tuple(cells[i - 1] for i in DIGITS_OF[positions])
 
 
 class GridError(Exception):
@@ -250,6 +275,23 @@ def place_ink(grid: Grid, cell: int, digit: int, *, step: str = "", rule: str = 
     return TraceEvent(step=step, rule=rule, view=view, structure=structure,
                       cells=(cell,), digits=(digit,),
                       inked=((cell, digit),), erased=tuple(erased))
+
+
+def block_group(grid: Grid, cells: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
+    """Rules 20 and 21: erase the digits of ``mask`` from every other cell of
+    the structures containing all of ``cells``.  Returns the erasures as
+    (cell, digit) pairs; raises ContradictionFound on a cell left empty."""
+    masks = grid.masks
+    erased = []
+    for s in shared_structures(cells):
+        for c in CELLS_OF[s]:
+            if c in cells or not masks[c] & mask:
+                continue
+            erased += [(c, d) for d in DIGITS_OF[masks[c] & mask]]
+            masks[c] &= ~mask
+            if not masks[c]:
+                raise ContradictionFound("empty_cell", cell=c)
+    return erased
 
 
 def check_consistency(grid: Grid) -> ConsistencyIssue | None:

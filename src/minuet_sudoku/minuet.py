@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import oracle
-from .grid import (BIT, CELLSET_OF, DIGITS_OF, STRUCTS_OF, STRUCTURES,
-                   ContradictionFound, Grid, Structure, check_consistency,
-                   parse_grid, place_ink, serialize_grid)
+from .grid import (BIT, DIGITS_OF, STRUCT_BITS, STRUCTURES, ContradictionFound, Grid,
+                   Structure, cells_at, check_consistency, digit_positions, parse_grid,
+                   place_ink, serialize_grid, shared_structures)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
-from .phase2 import _margins, step3_fixpoint
+from .phase2 import step3_fixpoint
 from .trace import TraceEvent
 
 
@@ -141,34 +141,36 @@ class SolveOutcome:
 def enumerate_starters(grid: Grid) -> list[Starter]:
     """All bivalue cells and half doubles, best-scored first.
 
+    Half doubles are the two-bit entries of the structures' position tables.
     Score = number of bivalue cells in the union of the starter's covering
-    structures (footnote-8 heuristic).  Ties break by ascending cell index,
-    then ascending digit.  Raises NoStarters when none exist.
+    structures (footnote-8 heuristic): the bivalue board ANDed with the
+    cover, on 81-bit boards.  Ties break by ascending cell index, then
+    ascending digit.  Raises NoStarters when none exist.
     """
     masks = grid.masks
     bivalue = [c for c in range(81)
                if not grid.solved[c] and masks[c].bit_count() == 2]
-    bset = set(bivalue)
-    starters: list[Starter] = []
-    for c in bivalue:
-        cover = set()
-        for s in STRUCTS_OF[c]:
-            cover |= CELLSET_OF[s]
-        d1, d2 = DIGITS_OF[masks[c]]
-        starters.append(Starter("bivalue", (c,), (d1, d2), None, len(cover & bset)))
-    seen: set[tuple[int, int, int]] = set()
+    board = sum(1 << c for c in bivalue)
+
+    def score(cells: tuple[int, ...]) -> int:
+        cover = 0
+        for s in shared_structures(cells):
+            cover |= STRUCT_BITS[s]
+        return (board & cover).bit_count()
+
+    starters = [Starter("bivalue", (c,), DIGITS_OF[masks[c]], None, score((c,)))
+                for c in bivalue]
+    seen: set[tuple[tuple[int, ...], int]] = set()
     for s in range(27):
-        for d, a, b in _margins(grid, s, 2):
-            key = (a, b, d)
-            if key in seen:
+        pos = digit_positions(masks, s)
+        for d in range(1, 10):
+            if pos[d].bit_count() != 2:
                 continue
-            seen.add(key)
-            common = set(STRUCTS_OF[a]) & set(STRUCTS_OF[b])
-            cover = set()
-            for s2 in common:
-                cover |= CELLSET_OF[s2]
-            starters.append(Starter("half_double", (a, b), (d,), STRUCTURES[s],
-                                    len(cover & bset)))
+            cells = cells_at(s, pos[d])
+            if (cells, d) not in seen:
+                seen.add((cells, d))
+                starters.append(Starter("half_double", cells, (d,), STRUCTURES[s],
+                                        score(cells)))
     if not starters:
         raise NoStarters("no bivalue cell and no half double at this fixpoint")
     starters.sort(key=lambda st: (-st.score, min(st.cells), st.digits[0],
@@ -247,6 +249,19 @@ def dance_alone(view: HypothesisView, base: Grid,
     return view
 
 
+def _narrow(base: Grid, c: int, allowed: int, step: str, rule: str,
+            events: list, touched: set) -> None:
+    """Erase from base cell ``c`` every candidate outside ``allowed``, as one event."""
+    rm = base.masks[c] & ~allowed
+    if rm:
+        base.masks[c] &= allowed
+        events.append(TraceEvent(step, rule, cells=(c,), digits=DIGITS_OF[rm],
+                                 erased=tuple((c, d) for d in DIGITS_OF[rm])))
+        touched.add(c)
+        if not base.masks[c]:
+            raise ContradictionFound("empty_cell", cell=c)
+
+
 def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
                    monitor: Callable | None = None) -> bool:
     """Joint eliminations from both views' markings; returns True if the base changed.
@@ -277,7 +292,6 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
     circle, square = state.circle, state.square
     cs, ss = circle.shadow, square.shadow
     touched: set[int] = set()
-    changed = False
 
     for c in range(81):
         if base.solved[c]:
@@ -288,20 +302,11 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
             events.append(ev)
             touched.add(c)
             touched.update(p for p, _ in ev.erased)
-            changed = True
-            continue
-        allowed = circle.retained(c) | square.retained(c)
-        rm = base.masks[c] & ~allowed
-        if rm:
-            base.masks[c] &= allowed
-            erased = tuple((c, d) for d in DIGITS_OF[rm])
-            events.append(TraceEvent("4a", "trick (a)", cells=(c,),
-                                     digits=DIGITS_OF[rm], erased=erased))
-            touched.add(c)
-            changed = True
-            if not base.masks[c]:
-                raise ContradictionFound("empty_cell", cell=c)
+        else:
+            _narrow(base, c, circle.retained(c) | square.retained(c), "4a", "trick (a)",
+                    events, touched)
 
+    changed = bool(touched)
     if changed:
         step3_fixpoint(base, trace=events, touched=touched)
         dance_alone(circle, base, events)
@@ -335,18 +340,8 @@ def commit_retained(state: MinuetState, base: Grid,
             touched.add(c)
             touched.update(p for p, _ in ev.erased)
     for c in range(81):
-        if base.solved[c]:
-            continue
-        nm = base.masks[c] & shadow.masks[c]
-        if nm != base.masks[c]:
-            erased = tuple((c, d) for d in DIGITS_OF[base.masks[c] & ~nm])
-            base.masks[c] = nm
-            events.append(TraceEvent("commit", rule, cells=(c,),
-                                     digits=tuple(d for _, d in erased),
-                                     erased=erased))
-            touched.add(c)
-            if not nm:
-                raise ContradictionFound("empty_cell", cell=c)
+        if not base.solved[c]:
+            _narrow(base, c, shadow.masks[c], "commit", rule, events, touched)
     step3_fixpoint(base, trace=events, touched=touched)
 
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCTS_OF,
-                   ContradictionFound, Grid, Structure, mask_of, place_ink)
+from .grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCT_BITS,
+                   STRUCTS_OF, ContradictionFound, Grid, Structure, block_group, mask_of,
+                   place_ink)
 from .trace import TraceEvent
 
 
-STRUCT_BITS = tuple(sum(1 << c for c in cells) for cells in CELLS_OF)  # by flat id
 CROSS_BITS = tuple(STRUCT_BITS[r] | STRUCT_BITS[k] for r, k, _ in STRUCTS_OF)
 
 
@@ -319,19 +319,7 @@ def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
     blocks += [(cells, gm, "double block" if len(cells) == 2 else "triple block", None)
                for cells, gm in registry.claim_groups]
     for cells, gm, rule, structure in blocks:
-        common = set(STRUCTS_OF[cells[0]])
-        for c in cells[1:]:
-            common &= set(STRUCTS_OF[c])
-        erased = []
-        for s in sorted(common):
-            for c in CELLS_OF[s]:
-                if c in cells or not masks[c] & gm:
-                    continue
-                for dx in DIGITS_OF[masks[c] & gm]:
-                    masks[c] &= ~BIT[dx]
-                    erased.append((c, dx))
-                if not masks[c]:
-                    raise ContradictionFound("empty_cell", cell=c)
+        erased = block_group(grid, cells, gm)
         if erased:
             events.append(TraceEvent("2", rule, structure=structure, cells=cells,
                                      digits=DIGITS_OF[gm], erased=tuple(erased)))

@@ -1,10 +1,19 @@
 """Basic cleanup: scan all 27 structures for naked/hidden singles, doubles and
 triples, apply the blocking-rule cleanups after each find, iterate to fixpoint.
 
-Doubles are only worth scanning in structures with 4+ unsolved cells and
-triples with 6+ (anything smaller already yields a single); quadruples would
-need 8+ unsolved cells and are rare enough that hunting them never pays, so
-they are deliberately not implemented.
+Each scan of a structure reads its cells' candidate masks and a position
+table built fresh from them (``grid.digit_positions``, no state kept between
+scans): entry ``d`` has bit ``i`` set when ``d`` is a candidate of the
+structure's ``i``-th cell.  A hidden single is a one-bit entry and a starved
+digit a zero one.  A naked group is ``k`` cells whose masks span ``k``
+digits, a hidden group ``k`` digits whose positions span ``k`` cells, so one
+finder (``_groups``) serves both kinds and both sizes.
+
+Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
+cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
+group form a smaller group of the other kind, which the earlier scans look
+for.  Quadruples would need 8+ unsolved cells and are rare enough that
+hunting them never pays, so they are deliberately not implemented.
 
 The fixpoint driver tracks dirty structures (a structure is rescanned only
 after one of its cells changed), which skips provably find-free scans without
@@ -17,9 +26,12 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .grid import (BIT, CELLS_OF, DIGITS_OF, STRUCTS_OF, STRUCTURES,
-                   ContradictionFound, Grid, Structure, flat_structure, place_ink)
+from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCTS_OF, STRUCTURES,
+                   ContradictionFound, Grid, Structure, block_group, cells_at,
+                   digit_positions, flat_structure, mask_of, place_ink)
 from .trace import TraceEvent
+
+GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,48 +52,17 @@ class FixpointRun:
         return len(self.finds_per_sweep)
 
 
-def margin_half_doubles(grid: Grid, s: Structure) -> list[tuple[int, int, int]]:
-    """Digits that are candidates in exactly two cells of the structure, as
-    (digit, cellA, cellB) with digits ascending.  Recomputed on demand."""
-    return _margins(grid, flat_structure(s), 2)
-
-
-def _margins(grid: Grid, s: int, count: int) -> list[tuple[int, int, int]]:
-    out = []
-    masks = grid.masks
-    for d in range(1, 10):
-        b = BIT[d]
-        occ = [c for c in CELLS_OF[s] if masks[c] & b]
-        if len(occ) == count:
-            out.append((d, *occ))
-    return out
-
-
-def _erase(grid: Grid, cell: int, digit: int, erased: list, touched: set) -> None:
-    grid.masks[cell] &= ~BIT[digit]
-    erased.append((cell, digit))
-    touched.add(cell)
-    if not grid.masks[cell]:
-        raise ContradictionFound("empty_cell", cell=cell)
-
-
 def _cleanup_group(grid: Grid, cells: tuple[int, ...], group_mask: int,
                    touched: set) -> list[tuple[int, int]]:
-    """Rule 21: strip foreign candidates inside the group's cells, then erase
-    the group's digits from every structure containing all of its cells."""
-    erased: list[tuple[int, int]] = []
+    """Rule 21: strip foreign candidates inside the group's cells (each keeps
+    one of the group's digits), then erase the group's digits from every
+    structure containing all of its cells."""
+    masks = grid.masks
+    erased = [(c, d) for c in cells for d in DIGITS_OF[masks[c] & ~group_mask]]
     for c in cells:
-        for d in DIGITS_OF[grid.masks[c] & ~group_mask]:
-            _erase(grid, c, d, erased, touched)
-    common = set(STRUCTS_OF[cells[0]])
-    for c in cells[1:]:
-        common &= set(STRUCTS_OF[c])
-    for s in sorted(common):
-        for c in CELLS_OF[s]:
-            if c in cells or grid.solved[c]:
-                continue
-            for d in DIGITS_OF[grid.masks[c] & group_mask]:
-                _erase(grid, c, d, erased, touched)
+        masks[c] &= group_mask
+    erased += block_group(grid, cells, group_mask)
+    touched.update(c for c, _ in erased)
     return erased
 
 
@@ -101,127 +82,77 @@ def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
     solved = grid.solved
     while True:
         inked_mask = 0
-        for c in cells:
-            if solved[c]:
-                inked_mask |= BIT[solved[c]]
-            elif not masks[c]:
-                raise ContradictionFound("empty_cell", cell=c)
-        hit = False
+        naked = None
         for c in cells:
             m = masks[c]
-            if not solved[c] and not m & (m - 1):  # single bit
-                d = DIGITS_OF[m][0]
-                _ink(grid, c, d, "3.1", "naked single", s, events, view, touched)
-                finds.append(GroupFind("naked_single", STRUCTURES[s], (c,), (d,)))
-                hit = True
-                break
-        if hit:
+            if solved[c]:
+                inked_mask |= BIT[solved[c]]
+            elif not m:
+                raise ContradictionFound("empty_cell", cell=c)
+            elif naked is None and not m & (m - 1):  # single bit
+                naked = c
+        if naked is not None:
+            d = DIGITS_OF[masks[naked]][0]
+            _ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
+            finds.append(GroupFind("naked_single", STRUCTURES[s], (naked,), (d,)))
             continue
-        for d in range(1, 10):
-            b = BIT[d]
-            if inked_mask & b:
-                continue
-            occ = [c for c in cells if masks[c] & b]
-            if not occ:
+        pos = digit_positions(masks, s)
+        for d in DIGITS_OF[ALL_DIGITS & ~inked_mask]:
+            p = pos[d]
+            if not p:
                 raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
-            if len(occ) == 1:
-                _ink(grid, occ[0], d, "3.1", "hidden single", s, events, view, touched)
-                finds.append(GroupFind("hidden_single", STRUCTURES[s], (occ[0],), (d,)))
-                hit = True
+            if not p & (p - 1):
+                c = cells[p.bit_length() - 1]
+                _ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
+                finds.append(GroupFind("hidden_single", STRUCTURES[s], (c,), (d,)))
                 break
-        if not hit:
+        else:
             return finds
 
 
-def _scan_doubles(grid: Grid, s: int, events: list, view: str | None,
-                  touched: set, use_guards: bool) -> list[GroupFind]:
-    cells = CELLS_OF[s]
-    unsolved = [c for c in cells if not grid.solved[c]]
-    if use_guards and len(unsolved) < 4:
-        return []
-    finds = []
-    masks = grid.masks
-    while True:
-        hit = False
-        for a, b in combinations(unsolved, 2):
-            ma = masks[a]
-            if ma.bit_count() != 2 or ma != masks[b]:
-                continue
-            erased = _cleanup_group(grid, (a, b), ma, touched)
-            if erased:
-                digits = DIGITS_OF[ma]
-                finds.append(GroupFind("naked_double", STRUCTURES[s], (a, b), digits))
-                events.append(TraceEvent("3.2", "naked double", view=view,
-                                         structure=STRUCTURES[s], cells=(a, b),
-                                         digits=digits, erased=tuple(erased)))
-                hit = True
-                break
-        if hit:
-            continue
-        margins = _margins(grid, s, 2)
-        for (d1, a1, b1), (d2, a2, b2) in combinations(margins, 2):
-            if (a1, b1) != (a2, b2):
-                continue
-            gm = BIT[d1] | BIT[d2]
-            erased = _cleanup_group(grid, (a1, b1), gm, touched)
-            if erased:
-                finds.append(GroupFind("hidden_double", STRUCTURES[s], (a1, b1), (d1, d2)))
-                events.append(TraceEvent("3.2", "hidden double", view=view,
-                                         structure=STRUCTURES[s], cells=(a1, b1),
-                                         digits=(d1, d2), erased=tuple(erased)))
-                hit = True
-                break
-        if not hit:
-            return finds
+def _groups(items: list[tuple[int, int]], k: int):
+    """Each k-subset of ``(key, mask)`` items, in ``combinations`` order,
+    whose masks have 2..k bits each and exactly k bits together: yields the
+    subset's keys and the union of its masks."""
+    small = [item for item in items if 2 <= item[1].bit_count() <= k]
+    for group in combinations(small, k):
+        union = 0
+        for _, m in group:
+            union |= m
+        if union.bit_count() == k:
+            yield tuple(key for key, _ in group), union
 
 
-def _scan_triples(grid: Grid, s: int, events: list, view: str | None,
-                  touched: set, use_guards: bool) -> list[GroupFind]:
-    cells = CELLS_OF[s]
-    unsolved = [c for c in cells if not grid.solved[c]]
-    if use_guards and len(unsolved) < 6:
+def _candidate_groups(masks: list[int], s: int, unsolved: list[int], k: int):
+    """Naked groups of size ``k`` in structure ``s``, then hidden ones, as
+    (kind, cells, digits, group mask).  The position table is read only once
+    every naked group has been offered."""
+    for group, union in _groups([(c, masks[c]) for c in unsolved], k):
+        yield "naked", group, DIGITS_OF[union], union
+    pos = digit_positions(masks, s)
+    for digits, union in _groups([(d, pos[d]) for d in range(1, 10)], k):
+        yield "hidden", cells_at(s, union), digits, mask_of(digits)
+
+
+def _scan_groups(grid: Grid, s: int, k: int, events: list, view: str | None,
+                 touched: set, use_guards: bool) -> list[GroupFind]:
+    """Clean up (Rule 21) the first group whose cleanup erases something,
+    report it, and look again, until no group erases anything."""
+    unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
+    if use_guards and len(unsolved) < 2 * k:
         return []
+    step, size = GROUP_NAMES[k]
     finds = []
-    masks = grid.masks
     while True:
-        hit = False
-        small = [c for c in unsolved if masks[c].bit_count() in (2, 3)]
-        for a, b, c in combinations(small, 3):
-            union = masks[a] | masks[b] | masks[c]
-            if union.bit_count() != 3:
-                continue
-            erased = _cleanup_group(grid, (a, b, c), union, touched)
+        for kind, group, digits, group_mask in _candidate_groups(grid.masks, s, unsolved, k):
+            erased = _cleanup_group(grid, group, group_mask, touched)
             if erased:
-                digits = DIGITS_OF[union]
-                finds.append(GroupFind("naked_triple", STRUCTURES[s], (a, b, c), digits))
-                events.append(TraceEvent("3.3", "naked triple", view=view,
-                                         structure=STRUCTURES[s], cells=(a, b, c),
+                finds.append(GroupFind(f"{kind}_{size}", STRUCTURES[s], group, digits))
+                events.append(TraceEvent(step, f"{kind} {size}", view=view,
+                                         structure=STRUCTURES[s], cells=group,
                                          digits=digits, erased=tuple(erased)))
-                hit = True
                 break
-        if hit:
-            continue
-        occ_23 = []
-        for d in range(1, 10):
-            b = BIT[d]
-            occ = tuple(c for c in cells if masks[c] & b)
-            if 2 <= len(occ) <= 3:
-                occ_23.append((d, occ))
-        for (d1, o1), (d2, o2), (d3, o3) in combinations(occ_23, 3):
-            spots = set(o1) | set(o2) | set(o3)
-            if len(spots) != 3:
-                continue
-            trio = tuple(sorted(spots))
-            gm = BIT[d1] | BIT[d2] | BIT[d3]
-            erased = _cleanup_group(grid, trio, gm, touched)
-            if erased:
-                finds.append(GroupFind("hidden_triple", STRUCTURES[s], trio, (d1, d2, d3)))
-                events.append(TraceEvent("3.3", "hidden triple", view=view,
-                                         structure=STRUCTURES[s], cells=trio,
-                                         digits=(d1, d2, d3), erased=tuple(erased)))
-                hit = True
-                break
-        if not hit:
+        else:
             return finds
 
 
@@ -236,19 +167,19 @@ def detect_doubles(grid: Grid, s: Structure, *, trace: list | None = None,
                    view: str | None = None, use_guards: bool = True) -> list[GroupFind]:
     """Find and clean up naked/hidden doubles in the structure.
 
-    Skipped when the structure has fewer than 4 unsolved cells (a double
-    there would imply a single already found).  A find is reported only when
-    its cleanup actually erased something.
+    Skipped when the structure has fewer than 4 unsolved cells (see the
+    module docstring).  A find is reported only when its cleanup actually
+    erased something.
     """
     events = trace if trace is not None else []
-    return _scan_doubles(grid, flat_structure(s), events, view, set(), use_guards)
+    return _scan_groups(grid, flat_structure(s), 2, events, view, set(), use_guards)
 
 
 def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
                    view: str | None = None, use_guards: bool = True) -> list[GroupFind]:
     """Find and clean up naked/hidden triples; skipped under 6 unsolved cells."""
     events = trace if trace is not None else []
-    return _scan_triples(grid, flat_structure(s), events, view, set(), use_guards)
+    return _scan_groups(grid, flat_structure(s), 3, events, view, set(), use_guards)
 
 
 def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = None,
@@ -283,8 +214,8 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
             in_current.discard(s)
             changed: set[int] = set()
             found = _scan_singles(grid, s, events, view, changed)
-            found += _scan_doubles(grid, s, events, view, changed, use_guards)
-            found += _scan_triples(grid, s, events, view, changed, use_guards)
+            for k in GROUP_NAMES:
+                found += _scan_groups(grid, s, k, events, view, changed, use_guards)
             n += len(found)
             run.finds.extend(found)
             for c in changed:

@@ -1,0 +1,65 @@
+"""Smoke tests for the scripts outside the package: each demo and the corpus
+generator runs against this checkout's sources and exits 0."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from minuet_sudoku import count_solutions, load_corpus, parse_grid
+
+from puzzles import STALL
+
+ROOT = Path(__file__).resolve().parents[1]
+GENERATOR = ROOT / "tools" / "generate_corpus.py"
+
+
+def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, str(script), *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def load_generator():
+    spec = importlib.util.spec_from_file_location("generate_corpus", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    proc = run_script(demo)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_generator_emits_uniquely_solvable_puzzles(tmp_path):
+    proc = run_script(GENERATOR, "--easy", "2", "--medium", "1", "--hard", "1",
+                      "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    sizes = {}
+    for tier in ("easy", "medium", "hard"):
+        puzzles = [e.text for e in load_corpus(tmp_path / f"{tier}.txt").entries]
+        sizes[tier] = len(puzzles)
+        for puzzle in puzzles:
+            assert count_solutions(parse_grid(puzzle), 2) == 1, puzzle
+    assert sizes == {"easy": 2, "medium": 1, "hard": 1}
+
+
+def test_classify_puts_a_stall_in_the_hard_tier():
+    assert load_generator().classify(STALL) == "hard+stall"
+
+
+def test_generator_keeps_a_stall_in_hard_and_lists_it(tmp_path, monkeypatch):
+    generator = load_generator()
+    dug = iter([STALL])  # a second dig raises instead of looping forever
+    monkeypatch.setattr(generator, "dig_minimal", lambda solution, rng: next(dug))
+    monkeypatch.setattr(sys, "argv", ["generate_corpus.py", "--easy", "0", "--medium", "0",
+                                      "--hard", "1", "--outdir", str(tmp_path)])
+    assert generator.main() == 0
+    for name in ("hard", "stalls"):
+        assert [e.text for e in load_corpus(tmp_path / f"{name}.txt").entries] == [STALL]

@@ -10,12 +10,13 @@ from minuet_sudoku import (BothContradicted,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, validate_report)
 from minuet_sudoku import minuet
-from minuet_sudoku.grid import BIT, PEERS, Grid, mask_of
+from minuet_sudoku.grid import (BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF, STRUCTURES,
+                                Grid, Structure, mask_of)
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
 from conftest import random_full_grid
 from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, STALL,
-                     TRICKY, TRICKY_SOLUTION)
+                     TRICKY, TRICKY_SOLUTION, random_isomorph)
 
 
 def at_fixpoint(puzzle: str) -> Grid:
@@ -68,6 +69,65 @@ def test_enumerate_starters_orders_by_score():
     starters = enumerate_starters(g)
     assert starters == sorted(starters, key=lambda s: -s.score, reverse=False) or \
         all(a.score >= b.score for a, b in zip(starters, starters[1:]))
+
+
+def reference_starters(grid: Grid) -> list[tuple]:
+    """The starter list by the definition, with sets: every bivalue cell and
+    every digit with exactly two candidate cells in a structure, scored by
+    the bivalue cells in the union of the structures covering the starter."""
+    masks = grid.masks
+    bivalue = {c for c in range(81) if not grid.solved[c] and masks[c].bit_count() == 2}
+
+    def score(cells):
+        common = set.intersection(*(set(STRUCTS_OF[c]) for c in cells))
+        return len(set().union(*(CELLS_OF[s] for s in common)) & bivalue)
+
+    out = [("bivalue", (c,), DIGITS_OF[masks[c]], None, score((c,)))
+           for c in sorted(bivalue)]
+    seen = set()
+    for s in range(27):
+        for d in range(1, 10):
+            occ = tuple(c for c in CELLS_OF[s] if masks[c] & BIT[d])
+            if len(occ) == 2 and (occ, d) not in seen:
+                seen.add((occ, d))
+                out.append(("half_double", occ, (d,), STRUCTURES[s], score(occ)))
+    out.sort(key=lambda st: (-st[4], min(st[1]), st[2][0], max(st[1]),
+                             0 if st[0] == "bivalue" else 1))
+    return out
+
+
+def enumerated(grid: Grid) -> list[tuple]:
+    try:
+        starters = enumerate_starters(grid)
+    except NoStarters:
+        return []
+    return [(st.kind, st.cells, st.digits, st.structure, st.score) for st in starters]
+
+
+def test_enumerate_starters_matches_reference(hard_corpus):
+    grids = [at_fixpoint(p) for p in hard_corpus]
+    rng = random.Random(41)
+    for _ in range(40):
+        chars = list(random_full_grid(rng))
+        for c in rng.sample(range(81), rng.randrange(20, 60)):
+            chars[c] = "."
+        g = parse_grid("".join(chars))
+        grids.append(g.copy())
+        step3_fixpoint(g)
+        grids.append(g)
+    # a half double vanishes as soon as one of its candidates is erased
+    g = Grid()
+    for c in CELLS_OF[0]:
+        if c not in (3, 5):
+            g.masks[c] &= ~BIT[9]
+    grids.append(g.copy())
+    assert ("half_double", (3, 5), (9,), Structure("row", 0)) in \
+        [st[:4] for st in enumerated(g)]
+    g.masks[3] &= ~BIT[9]
+    grids.append(g)
+    assert not [st for st in enumerated(g) if st[2] == (9,) and st[3] == Structure("row", 0)]
+    for g in grids:
+        assert enumerated(g) == reference_starters(g)
 
 
 def test_no_starters_on_blank_grid():
@@ -371,6 +431,28 @@ def test_solve_reports_conjecture_failure_with_validated_report():
     assert report.puzzle == serialize_grid(parse_grid(STALL))
     assert len(report.starters_tried) >= 1
     validate_report(report)  # raises if the residual lost the solution
+
+
+def test_solve_commutes_with_isomorphs(hard_corpus):
+    """Status, answer, residual ink and residual candidates map across a
+    relabelling, band/stack/row/column shuffle and transposition.  The
+    starters danced may differ, since starter ties break by cell index."""
+    rng = random.Random(606)
+    for puzzle in hard_corpus[::20] + [STALL]:
+        src = solve(puzzle)
+        for _ in range(3):
+            iso = random_isomorph(rng)
+            img = solve(iso.apply(puzzle))
+            source = [9 * c + r if iso.transpose else 9 * r + c
+                      for r in iso.rows for c in iso.cols]
+            relabel = [0] + [BIT[iso.digits[d - 1]] for d in range(1, 10)]
+            assert img.status == src.status, puzzle
+            assert serialize_grid(img.grid) == iso.apply(serialize_grid(src.grid))
+            assert img.grid.masks == [sum(relabel[d] for d in DIGITS_OF[src.grid.masks[c]])
+                                      for c in source]
+            if src.report is not None:
+                assert img.report.reason == src.report.reason
+                assert img.report.residual == iso.apply(src.report.residual)
 
 
 def test_solve_no_starters_reason_on_blank_grid():

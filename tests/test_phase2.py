@@ -4,7 +4,7 @@ import pytest
 
 from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
                            detect_doubles, detect_singles, detect_triples,
-                           margin_half_doubles, parse_grid, step3_fixpoint)
+                           parse_grid, step3_fixpoint)
 from minuet_sudoku.grid import BIT, CELLS_OF, Grid, mask_of
 
 from conftest import random_full_grid
@@ -139,16 +139,6 @@ def test_triples_guard_skips_under_six_unsolved():
     g.masks[8] = mask_of({5, 6, 8, 9})
     assert detect_triples(g, Structure("row", 0)) == []
     assert detect_triples(g, Structure("row", 0), use_guards=False) != []
-
-
-def test_margin_half_doubles_is_fresh():
-    g = Grid()
-    for c in CELLS_OF[0]:
-        if c not in (3, 5):
-            g.masks[c] &= ~BIT[9]
-    assert (9, 3, 5) in margin_half_doubles(g, Structure("row", 0))
-    g.masks[3] &= ~BIT[9]
-    assert all(d != 9 for d, _, _ in margin_half_doubles(g, Structure("row", 0)))
 
 
 def test_step3_solves_medium_puzzle():

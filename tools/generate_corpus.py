@@ -8,11 +8,13 @@ solvable, and buckets the results by which rule tier finishes them:
   medium  solvable by the full Step-3 fixpoint (doubles/triples needed)
   hard    Step-3-resistant: needs Step 4 (the minuet)
 
-Every emitted puzzle is uniquely solvable by construction, and every hard
-puzzle is checked to be solved by the full method before it is kept.
-Deterministic for a fixed seed.
+Every emitted puzzle is uniquely solvable by construction.  A hard puzzle is
+kept whether or not the full method solves it, so the hard tier is an
+unbiased sample for the failure-rate bound; the ones it fails on are also
+listed in stalls.txt.  Deterministic for a fixed seed.
 
 Usage: python tools/generate_corpus.py [--seed N] [--easy N] [--medium N] [--hard N]
+                                       [--outdir DIR]
 """
 
 from __future__ import annotations
@@ -90,11 +92,14 @@ def dig_easy(solution: str, rng: random.Random) -> str:
 
 
 def classify(puzzle: str) -> str:
+    """The puzzle's tier: easy, medium or hard.  A hard puzzle is tagged
+    "hard+stall" when the full method fails on it, else "hard+tricks" when
+    the solve used trick (a)."""
     if singles_solvable(puzzle):
         return "easy"
     outcome = solve(puzzle)
     if outcome.status != "solved":
-        return "stall"
+        return "hard+stall"
     if outcome.stats.starters_danced == 0:
         return "medium"
     tricks = any(ev.step == "4a" for ev in outcome.trace)
@@ -135,7 +140,7 @@ def main() -> int:
             hard.append(puzzle)
             if tier == "hard+tricks":
                 tricky += 1
-        elif tier == "stall":
+        if tier == "hard+stall":
             stalls.append(puzzle)
         if tried % 50 == 0:
             print(f"  tried {tried}: medium {len(medium)}/{args.medium} "
