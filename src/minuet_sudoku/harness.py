@@ -4,6 +4,10 @@ Every Solved answer in a batch is independently verified against the
 brute-force oracle before being counted; a mismatch aborts the run, since it
 means the deduction rules are unsound.  Conjecture failures are emitted as
 validated, machine-readable counterexample reports.
+
+A batch entry runs the oracle once.  That one verdict decides whether the
+entry is solved at all, checks a solved answer, fills a failure report's
+oracle status and validates that report in the same worker.
 """
 
 from __future__ import annotations
@@ -84,8 +88,11 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
     """Oracle-check and solve one entry, timing the oracle check and the
     solver apart.
 
-    An exception becomes an "error" result, so one bad puzzle does not lose
-    the rest of the batch.
+    The one oracle verdict goes to ``solve()`` for the failure report and to
+    ``validate_report``.  An exception from the oracle check or the solve
+    becomes an "error" result, so one bad puzzle does not lose the rest of
+    the batch; a report that fails validation raises SelfCheckFailed, which
+    aborts the batch.
     """
     entry, cfg = args
     well_posedness = "unknown"
@@ -100,7 +107,7 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
             return PuzzleResult(entry.line_no, "ill_posed", wp.status, 0.0,
                                 oracle_elapsed=oracle_elapsed)
         t0 = time.perf_counter()
-        outcome: SolveOutcome = solve(grid, cfg)
+        outcome: SolveOutcome = solve(grid, cfg, verdict=wp)
         elapsed = time.perf_counter() - t0
     except Exception as e:
         return PuzzleResult(entry.line_no, "error", well_posedness, 0.0,
@@ -114,6 +121,11 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
                             outcome.stats.starters_danced, answer,
                             oracle_mismatch=mismatch, oracle_elapsed=oracle_elapsed)
     if outcome.status == "conjecture_failure":
+        if outcome.report.puzzle != serialize_grid(grid):
+            raise SelfCheckFailed(
+                f"line {entry.line_no}: failure report is about puzzle "
+                f"{outcome.report.puzzle}, not {serialize_grid(grid)}")
+        validate_report(outcome.report, wp)
         return PuzzleResult(entry.line_no, "failure", wp.status, elapsed,
                             outcome.stats.starters_danced, report=outcome.report,
                             oracle_elapsed=oracle_elapsed)
@@ -152,7 +164,7 @@ class BatchStats:
         for label, times in (("solver", self.times), ("oracle", self.oracle_times)):
             if times:
                 ms = sorted(t * 1000 for t in times)
-                p90 = ms[min(len(ms) - 1, int(0.9 * len(ms)))]
+                p90 = ms[-(-9 * len(ms) // 10) - 1]  # nearest rank: ceil(0.9 n)
                 lines.append("%s time per puzzle: median %.1f ms, p90 %.1f ms, max %.1f ms"
                              % (label, statistics.median(ms), p90, ms[-1]))
         if self.confidence_bound is not None:
@@ -202,11 +214,7 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
                 f"line {r.line_no}: solver answer {r.solution} "
                 f"!= oracle solution {r.oracle_mismatch}")
 
-    reports: list[tuple[int, FailureReport]] = []
-    for r in results:
-        if r.status == "failure" and r.report is not None:
-            validate_report(r.report)
-            reports.append((r.line_no, r.report))
+    reports = [(r.line_no, r.report) for r in results if r.status == "failure"]
 
     solved = sum(1 for r in results if r.status == "solved")
     failures = sum(1 for r in results if r.status == "failure")
@@ -227,16 +235,22 @@ def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
     return BatchResult(stats, results, reports)
 
 
-def validate_report(report: FailureReport) -> None:
+def validate_report(report: FailureReport,
+                    verdict: oracle.WellPosedness | None = None) -> None:
     """Independently check a counterexample report before it is published.
 
     The puzzle must really be well-posed, the residual grid must agree with
     the puzzle's givens, and every residual cell must still admit the
     oracle's solution digit (otherwise a rule was unsound, not the method
     incomplete).  Raises SelfCheckFailed on any violation.
+
+    ``verdict`` is the oracle's verdict on ``report.puzzle``, when the caller
+    already holds it: ``batch_solve`` passes each entry's one verdict, after
+    checking that the report names that entry's puzzle.  Without it, the
+    oracle runs here.  Every residual check runs either way.
     """
     start = parse_grid(report.puzzle)
-    wp = oracle.verify_well_posed(start)
+    wp = verdict if verdict is not None else oracle.verify_well_posed(start)
     if wp.status != report.oracle_status:
         raise SelfCheckFailed(
             f"report oracle status {report.oracle_status} but verification says {wp.status}")

@@ -391,13 +391,18 @@ def run_minuet(base: Grid, starter: Starter, round_cap: int = 81,
     return "stuck", state
 
 
-def solve(puzzle: str | Grid, config: SolveConfig | None = None) -> SolveOutcome:
+def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
+          verdict: oracle.WellPosedness | None = None) -> SolveOutcome:
     """Run the full method: Phase I, Step-3 fixpoint, then minuets until solved.
 
     Returns Solved (all 81 cells inked and consistent), ConjectureFailure
     (every starter stuck on an unchanged base: the scientific payload), or
     IllPosedDetected (a contradiction or an exhausted binary choice, which
     sound rules only reach on inputs without a unique solution).
+
+    ``verdict`` is the oracle's verdict on this puzzle when the caller
+    already holds one; it only fills ``FailureReport.oracle_status``.
+    Without it, a conjecture failure runs the oracle itself.
     """
     cfg = config or SolveConfig()
     grid = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle.copy()
@@ -410,13 +415,13 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None) -> SolveOutcome
         return SolveOutcome("ill_posed", grid, start, trace, stats, reason=reason)
 
     def failure(reason: str) -> SolveOutcome:
-        verdict = oracle.verify_well_posed(start)
+        wp = verdict if verdict is not None else oracle.verify_well_posed(start)
         report = FailureReport(
             puzzle=serialize_grid(start),
             residual=serialize_grid(grid),
             residual_candidates=tuple(grid.masks),
             starters_tried=tuple(starters_tried),
-            oracle_status=verdict.status,
+            oracle_status=wp.status,
             reason=reason,
         )
         return SolveOutcome("conjecture_failure", grid, start, trace, stats,

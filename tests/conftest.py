@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from minuet_sudoku import Grid, brute_solve, load_corpus, parse_grid, place_ink, serialize_grid
+from minuet_sudoku import (Grid, brute_solve, count_solutions, load_corpus, parse_grid,
+                           place_ink, serialize_grid)
+from minuet_sudoku.grid import PEERS
 
 CORPORA = Path(__file__).resolve().parents[1] / "corpora"
 
@@ -52,3 +54,21 @@ def random_full_grid(rng: random.Random) -> str:
         return False
     assert fill(0)
     return serialize_grid(g)
+
+
+def dig_minimal(rng: random.Random) -> str:
+    """Empty the cells of a random full grid in random order, refilling any
+    whose removal would leave more than one solution: a minimal puzzle.
+
+    A cell whose peers still hold the other eight digits is forced, so
+    emptying it keeps the puzzle unique without a search."""
+    chars = list(random_full_grid(rng))
+    order = list(range(81))
+    rng.shuffle(order)
+    for c in order:
+        keep, chars[c] = chars[c], "."
+        if len({chars[p] for p in PEERS[c]} - {"."}) == 8:
+            continue
+        if count_solutions(parse_grid("".join(chars))) != 1:
+            chars[c] = keep
+    return "".join(chars)

@@ -76,7 +76,7 @@ def test_batch_command_failure_exit_and_reports(tmp_path, capsys):
 
 
 def test_batch_command_reports_errors_and_exits_one(tmp_path, capsys, monkeypatch):
-    def broken(grid, cfg=None):
+    def broken(grid, cfg=None, **kwargs):
         raise ValueError("no luck")
 
     monkeypatch.setattr(harness, "solve", broken)
@@ -174,7 +174,7 @@ def test_config_key_the_command_does_not_take_exits_one(tmp_path, capsys,
 def test_batch_bad_jobs_or_level_exit_one_before_solving(tmp_path, capsys, monkeypatch,
                                                          flag, value):
     calls = []
-    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None: calls.append(grid))
+    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None, **kw: calls.append(grid))
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{EASY}\n{MEDIUM}\n")
     assert main(["batch", str(corpus), flag, value]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 
 import pytest
@@ -11,9 +12,10 @@ from minuet_sudoku import (EmptyCorpus, SelfCheckFailed, Structure, batch_solve,
                            load_corpus, parse_grid, render_report, render_trace,
                            serialize_grid, solve, validate_report)
 from minuet_sudoku import harness
-from minuet_sudoku.grid import Grid
+from minuet_sudoku.grid import BIT, Grid
+from minuet_sudoku.harness import BatchStats
 
-from conftest import CORPORA
+from conftest import CORPORA, dig_minimal
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL, TRICKY
 
 
@@ -85,8 +87,8 @@ def test_batch_counts_conjecture_failures(tmp_path):
 def test_batch_aborts_on_oracle_mismatch(tmp_path, monkeypatch):
     real_solve = harness.solve
 
-    def sabotaged(grid, cfg=None):
-        outcome = real_solve(grid, cfg)
+    def sabotaged(grid, cfg=None, **kwargs):
+        outcome = real_solve(grid, cfg, **kwargs)
         if outcome.status == "solved":
             a, b = outcome.grid.solved[0], outcome.grid.solved[1]
             outcome.grid.solved[0], outcome.grid.solved[1] = b, a
@@ -118,10 +120,10 @@ def test_batch_parallel_matches_serial(tmp_path):
 def test_batch_keeps_going_past_a_puzzle_that_raises(tmp_path, monkeypatch, jobs):
     real_solve = harness.solve
 
-    def broken_on_medium(grid, cfg=None):
+    def broken_on_medium(grid, cfg=None, **kwargs):
         if serialize_grid(grid) == MEDIUM:
             raise KeyError("boom")
-        return real_solve(grid, cfg)
+        return real_solve(grid, cfg, **kwargs)
 
     monkeypatch.setattr(harness, "solve", broken_on_medium)
     result = batch_solve(small_corpus(tmp_path, [EASY, MEDIUM, HARD, TRICKY]), jobs=jobs)
@@ -156,11 +158,89 @@ def test_batch_times_only_the_solver(tmp_path, monkeypatch):
     assert medians["oracle"] >= 500
 
 
+def test_batch_runs_the_oracle_once_per_entry(tmp_path, monkeypatch):
+    calls = []
+    real_verify = harness.oracle.verify_well_posed  # the module minuet uses too
+
+    def counted(grid):
+        calls.append(1)
+        return real_verify(grid)
+
+    monkeypatch.setattr(harness.oracle, "verify_well_posed", counted)
+    result = batch_solve(small_corpus(tmp_path, [STALL, EASY]), jobs=1)
+    assert [r.status for r in result.results] == ["failure", "solved"]
+    assert len(calls) == 2
+    assert result.reports[0][1].oracle_status == "well_posed"
+
+    calls.clear()
+    outcome = solve(STALL)
+    assert len(calls) == 1
+    assert outcome.report.oracle_status == "well_posed"
+
+    calls.clear()
+    validate_report(outcome.report)
+    assert len(calls) == 1
+
+
+def _name_another_puzzle(report, solution):
+    report.puzzle = EASY.replace("0", ".")
+
+
+def _drop_a_given(report, solution):
+    # a sub-puzzle of the entry: its givens alone agree with the entry's verdict
+    i = next(i for i, ch in enumerate(report.puzzle) if ch != ".")
+    report.puzzle = report.puzzle[:i] + "." + report.puzzle[i + 1:]
+
+
+def _lose_the_solution_digit(report, solution):
+    cell = next(c for c in range(81) if report.residual[c] == ".")
+    masks = list(report.residual_candidates)
+    masks[cell] &= ~BIT[solution.solved[cell]]
+    report.residual_candidates = tuple(masks)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("corrupt", [_name_another_puzzle, _drop_a_given,
+                                     _lose_the_solution_digit])
+def test_batch_aborts_on_a_report_that_fails_its_self_check(tmp_path, monkeypatch,
+                                                            corrupt, jobs):
+    real_solve = harness.solve
+    solution = brute_solve(parse_grid(STALL))
+
+    def corrupted(grid, cfg=None, **kwargs):
+        outcome = real_solve(grid, cfg, **kwargs)
+        if outcome.status == "conjecture_failure":
+            corrupt(outcome.report, solution)
+        return outcome
+
+    monkeypatch.setattr(harness, "solve", corrupted)
+    with pytest.raises(SelfCheckFailed):
+        batch_solve(small_corpus(tmp_path, [EASY, STALL]), jobs=jobs)
+
+
+def test_batch_matches_solve_on_minimal_puzzles(tmp_path):
+    # differential test beyond the fixed corpus: seeded minimal puzzles
+    puzzles = [dig_minimal(random.Random(seed)) for seed in range(1000, 1150)]
+    outcomes = [solve(p) for p in puzzles]
+    for puzzle, outcome in zip(puzzles, outcomes):
+        if outcome.status == "solved":
+            assert outcome.grid.solved == brute_solve(parse_grid(puzzle)).solved
+        else:
+            assert outcome.status == "conjecture_failure", puzzle
+            validate_report(outcome.report)
+    result = batch_solve(small_corpus(tmp_path, puzzles))
+    assert [r.status for r in result.results] == [
+        "solved" if o.status == "solved" else "failure" for o in outcomes]
+    assert [r.solution for r in result.results] == [
+        serialize_grid(o.grid) if o.status == "solved" else None for o in outcomes]
+    assert [r.report for r in result.results] == [o.report for o in outcomes]
+
+
 @pytest.mark.parametrize("kwargs", [{"jobs": 0}, {"jobs": -3}, {"level": 1.5},
                                     {"level": 0.0}, {"level": 1.0}])
 def test_batch_rejects_bad_arguments_before_any_solve(tmp_path, monkeypatch, kwargs):
     calls = []
-    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None: calls.append(grid))
+    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None, **kw: calls.append(grid))
     with pytest.raises(ValueError):
         batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), **kwargs)
     assert calls == []
@@ -171,6 +251,14 @@ def test_batch_reports_are_deterministic(tmp_path):
     a = batch_solve(corpus)
     b = batch_solve(corpus)
     assert render_report(a.reports[0][1]) == render_report(b.reports[0][1])
+
+
+def test_render_p90_is_the_nearest_rank():
+    stats = BatchStats(puzzles=10, well_posed=10, solved=10, failures=0, ill_posed=0,
+                       errors=0, starter_counts=[0] * 10,
+                       times=[ms / 1000 for ms in range(1, 11)], oracle_times=[],
+                       level=0.90, confidence_bound=None)
+    assert "solver time per puzzle: median 5.5 ms, p90 9.0 ms, max 10.0 ms" in stats.render()
 
 
 # --- confidence bound ---------------------------------------------------------

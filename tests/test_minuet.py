@@ -4,7 +4,7 @@ import pytest
 
 from minuet_sudoku import (BothContradicted,
                            HalfDoubleRegistry, NoStarters, SolveConfig, Starter,
-                           brute_solve, commit_retained, count_solutions, dance_alone,
+                           brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
@@ -14,7 +14,7 @@ from minuet_sudoku.grid import (BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF, STR
                                 Grid, Structure, mask_of)
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
-from conftest import random_full_grid
+from conftest import dig_minimal, random_full_grid
 from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, STALL,
                      TRICKY, TRICKY_SOLUTION, random_isomorph)
 
@@ -243,19 +243,6 @@ def test_double_blocked_candidate_is_erased_from_intersection():
     assert 4 not in base.candidates(0)  # row 0 meets column 0 at cell 0
 
 
-def _dug_puzzle(rng: random.Random) -> str:
-    """Empty the cells of a random full grid in random order, refilling any
-    whose removal would leave more than one solution."""
-    chars = list(random_full_grid(rng))
-    order = list(range(81))
-    rng.shuffle(order)
-    for c in order:
-        keep, chars[c] = chars[c], "."
-        if count_solutions(parse_grid("".join(chars))) != 1:
-            chars[c] = keep
-    return "".join(chars)
-
-
 def test_trick_b_lemma_holds_on_dug_puzzles():
     # the lemma dance_together relies on to leave trick (b) to trick (a):
     # in a live view, no peer of a solved cell keeps or inks its digit
@@ -276,7 +263,7 @@ def test_trick_b_lemma_holds_on_dug_puzzles():
 
     cfg = SolveConfig(monitor=monitor)
     for seed in range(80):
-        puzzle = _dug_puzzle(random.Random(seed))
+        puzzle = dig_minimal(random.Random(seed))
         outcome = solve(puzzle, cfg)
         if outcome.status == "solved":
             assert outcome.grid.solved == brute_solve(parse_grid(puzzle)).solved
