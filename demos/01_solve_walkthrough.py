@@ -17,7 +17,7 @@ grid = parse_grid(PUZZLE)
 registry = HalfDoubleRegistry()
 events = []
 run = step1_fixpoint(grid, registry, trace=events)
-print(f"\nStep 1 took {run.passes} passes and made {len(run.finds)} finds "
+print(f"\nStep 1 took {run.passes} passes and made {sum(run.finds_per_pass)} finds "
       f"({grid.inked_count()} cells inked)")
 print(f"  half doubles on record: {len(registry.entries)}, "
       f"hidden doubles claimed: {len(registry.claim_groups)}")
@@ -29,7 +29,7 @@ print(f"Step 2 filled every cell with candidates "
 # Phase II: prune with the basic cleanup, then dance
 run3 = step3_fixpoint(grid, trace=events)
 print(f"Step 3 swept to a fixpoint in {run3.sweeps} sweeps, "
-      f"{len(run3.finds)} finds; {81 - grid.inked_count()} cells remain")
+      f"{sum(run3.finds_per_sweep)} finds; {81 - grid.inked_count()} cells remain")
 
 if not grid.is_complete():
     starters = enumerate_starters(grid)

@@ -8,10 +8,10 @@ from .grid import (Grid, Structure, ConsistencyIssue, GridError, WrongLength,
                    cells_of_structure, place_ink, check_consistency)
 from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
-from .phase1 import (HalfDoubleRegistry, Phase1Find, Phase1Run, available_cells,
-                     step1_scan, step1_fixpoint, step2_fill)
-from .phase2 import (GroupFind, FixpointRun, detect_singles, detect_doubles,
-                     detect_triples, step3_fixpoint)
+from .phase1 import (HalfDoubleRegistry, Phase1Run, available_cells, step1_scan,
+                     step1_fixpoint, step2_fill)
+from .phase2 import (FixpointRun, detect_singles, detect_doubles, detect_triples,
+                     step3_fixpoint)
 from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
                      SolveStats, SolveOutcome, FailureReport, NoStarters,
                      BothContradicted, enumerate_starters, init_hypotheses,

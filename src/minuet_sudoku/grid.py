@@ -148,28 +148,24 @@ class Grid:
     """81 cells, each inked (solved) or carrying a pencil candidate mask.
 
     ``solved[i]`` is 0 for unsolved cells, otherwise the inked digit.
-    ``given[i]`` marks original clues.  ``masks[i]`` is the candidate mask of
-    an unsolved cell and 0 for inked cells.  Ink never reverts to pencil and
-    no operation ever adds a candidate back; erasing is one-way.
+    ``masks[i]`` is the candidate mask of an unsolved cell and 0 for inked
+    cells.  Ink never reverts to pencil and no operation ever adds a
+    candidate back; erasing is one-way.
     """
 
-    __slots__ = ("solved", "given", "masks")
+    __slots__ = ("solved", "masks")
 
-    def __init__(self, solved: list[int] | None = None,
-                 given: list[bool] | None = None,
-                 masks: list[int] | None = None):
+    def __init__(self, solved: list[int] | None = None, masks: list[int] | None = None):
         self.solved = [0] * 81 if solved is None else solved
-        self.given = [False] * 81 if given is None else given
         self.masks = [ALL_DIGITS] * 81 if masks is None else masks
 
     def copy(self) -> "Grid":
-        return Grid(self.solved.copy(), self.given.copy(), self.masks.copy())
+        return Grid(self.solved.copy(), self.masks.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
-        return (self.solved == other.solved and self.masks == other.masks
-                and self.given == other.given)
+        return self.solved == other.solved and self.masks == other.masks
 
     def fingerprint(self) -> tuple:
         return (tuple(self.solved), tuple(self.masks))
@@ -219,7 +215,6 @@ def parse_grid(text: str) -> Grid:
         raise WrongLength(f"expected 81 significant characters, got {len(chars)}")
 
     solved = [0] * 81
-    given = [False] * 81
     used = [0] * 27  # inked-digit mask per flat structure
     for i, ch in enumerate(chars):
         if ch in ".0":
@@ -232,14 +227,13 @@ def parse_grid(text: str) -> Grid:
                     f"digit {d} appears twice in {STRUCTURES[s].kind} {STRUCTURES[s].index}")
             used[s] |= b
         solved[i] = d
-        given[i] = True
 
     masks = [0] * 81
     for i in range(81):
         if not solved[i]:
             r, c, b = STRUCTS_OF[i]
             masks[i] = ALL_DIGITS & ~(used[r] | used[c] | used[b])
-    return Grid(solved, given, masks)
+    return Grid(solved, masks)
 
 
 def serialize_grid(grid: Grid) -> str:

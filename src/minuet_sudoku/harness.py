@@ -1,13 +1,14 @@
 """Corpus ingestion, batch conjecture-hunting, statistics, and trace rendering.
 
-Every Solved answer in a batch is independently verified against the
-brute-force oracle before being counted; a mismatch aborts the run, since it
-means the deduction rules are unsound.  Conjecture failures are emitted as
-validated, machine-readable counterexample reports.
-
-A batch entry runs the oracle once.  That one verdict decides whether the
-entry is solved at all, checks a solved answer, fills a failure report's
-oracle status and validates that report in the same worker.
+A batch entry runs the oracle once, and every self-check of the entry runs
+with that one verdict in the same worker.  An entry the oracle finds
+ill-posed is skipped.  On a well-posed entry the solver must either return
+the oracle's solution or a conjecture-failure report that names the entry's
+puzzle and passes ``validate_report``; a different answer, a failed report
+or a contradiction (which sound rules cannot reach on a well-posed puzzle)
+raises SelfCheckFailed and aborts the run, since it means a deduction rule
+is unsound.  Conjecture failures are emitted as validated, machine-readable
+counterexample reports.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import oracle
 from .grid import DIGITS_OF, GridError, parse_grid, serialize_grid
-from .minuet import FailureReport, SolveConfig, SolveOutcome, solve
+from .minuet import FailureReport, SolveOutcome, solve
 from .trace import TraceEvent
 
 
@@ -30,7 +31,8 @@ class EmptyCorpus(Exception):
 
 
 class SelfCheckFailed(Exception):
-    """A solved answer disagreed with the brute-force oracle: a rule is unsound."""
+    """The solver's result on a well-posed puzzle disagreed with the
+    brute-force oracle: a rule is unsound."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,22 +81,21 @@ class PuzzleResult:
     starters: int = 0
     solution: str | None = None
     report: FailureReport | None = None
-    oracle_mismatch: str | None = None
     error: str | None = None  # "{type}: {message}" when status is "error"
     oracle_elapsed: float = 0.0  # seconds in verify_well_posed; 0.0 when it did not finish
 
 
-def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
+def _run_entry(entry: CorpusEntry) -> PuzzleResult:
     """Oracle-check and solve one entry, timing the oracle check and the
-    solver apart.
+    solver apart, and self-check the result against the one verdict.
 
-    The one oracle verdict goes to ``solve()`` for the failure report and to
+    The verdict goes to ``solve()`` for the failure report and to
     ``validate_report``.  An exception from the oracle check or the solve
     becomes an "error" result, so one bad puzzle does not lose the rest of
-    the batch; a report that fails validation raises SelfCheckFailed, which
-    aborts the batch.
+    the batch.  A solved answer other than the oracle's, a contradiction on
+    a well-posed puzzle, or a report that fails validation raises
+    SelfCheckFailed, which aborts the batch.
     """
-    entry, cfg = args
     well_posedness = "unknown"
     oracle_elapsed = 0.0
     try:
@@ -107,7 +108,7 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
             return PuzzleResult(entry.line_no, "ill_posed", wp.status, 0.0,
                                 oracle_elapsed=oracle_elapsed)
         t0 = time.perf_counter()
-        outcome: SolveOutcome = solve(grid, cfg, verdict=wp)
+        outcome: SolveOutcome = solve(grid, verdict=wp)
         elapsed = time.perf_counter() - t0
     except Exception as e:
         return PuzzleResult(entry.line_no, "error", well_posedness, 0.0,
@@ -116,10 +117,12 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
     if outcome.status == "solved":
         answer = serialize_grid(outcome.grid)
         truth = serialize_grid(wp.solution)
-        mismatch = None if answer == truth else truth
+        if answer != truth:
+            raise SelfCheckFailed(
+                f"line {entry.line_no}: solver answer {answer} != oracle solution {truth}")
         return PuzzleResult(entry.line_no, "solved", wp.status, elapsed,
                             outcome.stats.starters_danced, answer,
-                            oracle_mismatch=mismatch, oracle_elapsed=oracle_elapsed)
+                            oracle_elapsed=oracle_elapsed)
     if outcome.status == "conjecture_failure":
         if outcome.report.puzzle != serialize_grid(grid):
             raise SelfCheckFailed(
@@ -129,9 +132,9 @@ def _run_entry(args: tuple[CorpusEntry, SolveConfig]) -> PuzzleResult:
         return PuzzleResult(entry.line_no, "failure", wp.status, elapsed,
                             outcome.stats.starters_danced, report=outcome.report,
                             oracle_elapsed=oracle_elapsed)
-    # sound rules cannot contradict on a puzzle the oracle already verified
-    return PuzzleResult(entry.line_no, "ill_posed", wp.status, elapsed,
-                        oracle_mismatch=outcome.reason, oracle_elapsed=oracle_elapsed)
+    raise SelfCheckFailed(
+        f"line {entry.line_no}: contradiction ({outcome.reason}) on a puzzle the "
+        "oracle verified as well-posed")
 
 
 @dataclass(slots=True)
@@ -184,35 +187,27 @@ class BatchResult:
     reports: list[tuple[int, FailureReport]] = field(default_factory=list)
 
 
-def batch_solve(corpus: CorpusLoad, config: SolveConfig | None = None,
-                *, jobs: int = 1, level: float = 0.90) -> BatchResult:
-    """Solve every corpus entry, oracle-check each answer, aggregate stats.
+def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> BatchResult:
+    """Solve every corpus entry, oracle-check each result, aggregate stats.
 
     Ill-posed entries are flagged and excluded from conjecture statistics
     (the conjecture quantifies over well-posed puzzles only), and so are
     entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
     for any worker count.  Raises ValueError, before any solve, when ``jobs``
-    is below 1 or ``level`` lies outside (0, 1).
+    is below 1 or ``level`` lies outside (0, 1), and SelfCheckFailed when a
+    well-posed entry's result fails its self-check.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    cfg = config or SolveConfig()
-    work = [(entry, cfg) for entry in corpus.entries]
     if jobs > 1:
         with Pool(jobs) as pool:
-            results = pool.map(_run_entry, work)
+            results = pool.map(_run_entry, corpus.entries)
     else:
-        results = [_run_entry(w) for w in work]
+        results = [_run_entry(entry) for entry in corpus.entries]
     results.sort(key=lambda r: r.line_no)
-
-    for r in results:
-        if r.status == "solved" and r.oracle_mismatch is not None:
-            raise SelfCheckFailed(
-                f"line {r.line_no}: solver answer {r.solution} "
-                f"!= oracle solution {r.oracle_mismatch}")
 
     reports = [(r.line_no, r.report) for r in results if r.status == "failure"]
 

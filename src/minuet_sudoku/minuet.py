@@ -431,7 +431,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
         registry = HalfDoubleRegistry()
         p1 = step1_fixpoint(grid, registry, cfg.phase1_triples, trace=trace)
         stats.phase1_passes = p1.passes
-        stats.phase1_finds = len(p1.finds)
+        stats.phase1_finds = sum(p1.finds_per_pass)
         step2_fill(grid, registry, trace=trace)
         stats.step3_sweeps += step3_fixpoint(grid, trace=trace).sweeps
     except ContradictionFound as e:
@@ -442,7 +442,6 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             starters = enumerate_starters(grid)
         except NoStarters:
             return failure("no_starters")
-        progressed = False
         for starter in starters:
             before = grid.fingerprint()
             starters_tried.append(starter.describe())
@@ -457,13 +456,9 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             stats.minuet_rounds += state.rounds
             if outcome == "progress" and not (state.circle.alive and state.square.alive):
                 stats.commits += 1
-            if grid.is_complete():
-                progressed = True
-                break
             if grid.fingerprint() != before:
-                progressed = True
                 break
-        if not progressed:
+        else:
             return failure("all_starters_stuck")
 
     issue = check_consistency(grid)

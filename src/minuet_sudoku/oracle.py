@@ -132,7 +132,7 @@ def brute_solve(grid: Grid) -> Grid:
     n, sol = _search(grid.solved, 2)
     if n != 1 or sol is None:
         raise NotWellPosed(f"solution count is {'0' if n == 0 else '>= 2'}")
-    return Grid(sol, grid.given.copy(), [0] * 81)
+    return Grid(sol, [0] * 81)
 
 
 def verify_well_posed(grid: Grid) -> WellPosedness:
@@ -150,4 +150,4 @@ def verify_well_posed(grid: Grid) -> WellPosedness:
         return WellPosedness("no_solution")
     if n > 1:
         return WellPosedness("multiple_solutions")
-    return WellPosedness("well_posed", Grid(sol, grid.given.copy(), [0] * 81))
+    return WellPosedness("well_posed", Grid(sol, [0] * 81))

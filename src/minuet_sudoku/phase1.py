@@ -9,6 +9,11 @@ corner digits (a half double per box and digit), ``claim_groups`` the big
 penciled hidden doubles/triples, which make their cells unavailable to every
 other digit.
 
+Every find is logged as one ``TraceEvent``: an ink under step "1.1" (hidden
+and passive singles), a half double under "1.2", a hidden double or triple
+under "1.3".  The event is the only record of a find; ``step1_scan`` returns
+the events its pass appended, and ``step1_fixpoint`` counts them per pass.
+
 Step 1 keeps asking which cells of a box are still open to a digit.  It
 answers from bitboards: 81-bit ints in which bit ``c`` stands for cell ``c``.
 Each ``step1_scan`` call builds a :class:`_Bitboards` from the grid in one
@@ -37,17 +42,8 @@ from .trace import TraceEvent
 CROSS_BITS = tuple(STRUCT_BITS[r] | STRUCT_BITS[k] for r, k, _ in STRUCTS_OF)
 
 
-@dataclass(frozen=True, slots=True)
-class Phase1Find:
-    kind: str  # hidden_single | half_double | hidden_double | hidden_triple | passive_single
-    box: int
-    cells: tuple[int, ...]
-    digits: tuple[int, ...]
-
-
 @dataclass(slots=True)
 class Phase1Run:
-    finds: list[Phase1Find] = field(default_factory=list)
     finds_per_pass: list[int] = field(default_factory=list)
 
     @property
@@ -170,7 +166,7 @@ def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
     return {c for c in CELLS_OF[18 + bx] if open_bits >> c & 1}
 
 
-def _eager_rule22(boards: _Bitboards, events: list, finds: list) -> None:
+def _eager_rule22(boards: _Bitboards, events: list) -> None:
     """Rule 22, applied as soon as a half-double (or claimed) cell becomes
     unavailable: the surviving cell and digit are a hidden single."""
     grid, registry = boards.grid, boards.registry
@@ -191,7 +187,6 @@ def _eager_rule22(boards: _Bitboards, events: list, finds: list) -> None:
                 raise ContradictionFound("starved", structure=Structure("box", bx), digit=d)
             target = a if a_ok else b
             events.append(boards.ink(bx, target, d, "passive single"))
-            finds.append(Phase1Find("passive_single", bx, (target,), (d,)))
             changed = True
         for c in sorted(registry.claimed):
             if grid.solved[c]:
@@ -202,12 +197,11 @@ def _eager_rule22(boards: _Bitboards, events: list, finds: list) -> None:
             if not m & (m - 1):
                 d = DIGITS_OF[m][0]
                 events.append(boards.ink(BOX_OF[c], c, d, "passive single"))
-                finds.append(Phase1Find("passive_single", BOX_OF[c], (c,), (d,)))
                 changed = True
 
 
 def _claim(boards: _Bitboards, bx: int, cells: tuple[int, ...], digits: tuple[int, ...],
-           kind: str, events: list, finds: list) -> None:
+           rule: str, events: list) -> None:
     """Pencil a hidden double or triple: strip every other digit from its
     cells, close them to those digits (Rule 21), then apply Rule 22."""
     masks = boards.grid.masks
@@ -218,14 +212,13 @@ def _claim(boards: _Bitboards, bx: int, cells: tuple[int, ...], digits: tuple[in
             masks[c] &= ~BIT[dx]
             erased.append((c, dx))
     boards.claim(cells, gm)
-    finds.append(Phase1Find(kind, bx, cells, digits))
-    events.append(TraceEvent("1.3", kind.replace("_", " "), structure=Structure("box", bx),
+    events.append(TraceEvent("1.3", rule, structure=Structure("box", bx),
                              cells=cells, digits=digits, erased=tuple(erased)))
-    _eager_rule22(boards, events, finds)
+    _eager_rule22(boards, events)
 
 
 def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
-                     triples_enabled: bool, events: list, finds: list) -> None:
+                     triples_enabled: bool, events: list) -> None:
     """Corollary 13a (two half doubles on the same two cells are a hidden
     double) and, optionally, Corollary 16a for hidden triples."""
     registry = boards.registry
@@ -233,7 +226,7 @@ def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
         return
     for d2 in range(1, 10):
         if d2 != d and registry.entries.get((bx, d2)) == pair:
-            _claim(boards, bx, pair, tuple(sorted((d, d2))), "hidden_double", events, finds)
+            _claim(boards, bx, pair, tuple(sorted((d, d2))), "hidden double", events)
             return
     if not triples_enabled:
         return
@@ -244,20 +237,21 @@ def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
         if len(spots) != 3 or any(c in registry.claimed for c in spots):
             continue
         _claim(boards, bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))),
-               "hidden_triple", events, finds)
+               "hidden triple", events)
         return
 
 
 def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool = False,
-               *, trace: list | None = None) -> list[Phase1Find]:
+               *, trace: list | None = None) -> list[TraceEvent]:
     """One full pass over (digit 1..9) x (box 0..8), applying finds in place.
 
-    An unchanged half double re-registers silently; only new registrations,
-    inks and claims count as finds.  Raises ContradictionFound when a digit
-    has no available cell in a box that does not contain it.
+    Returns the events this pass appended, one per find.  An unchanged half
+    double re-registers silently; only new registrations, inks and claims
+    count as finds.  Raises ContradictionFound when a digit has no available
+    cell in a box that does not contain it.
     """
     events = trace if trace is not None else []
-    finds: list[Phase1Find] = []
+    start = len(events)
     boards = _Bitboards(grid, registry)
     for d in range(1, 10):
         for bx in range(9):
@@ -272,19 +266,17 @@ def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool =
                 cell = open_bits.bit_length() - 1
                 boards.forget(bx, d)
                 events.append(boards.ink(bx, cell, d, "hidden single"))
-                finds.append(Phase1Find("hidden_single", bx, (cell,), (d,)))
-                _eager_rule22(boards, events, finds)
+                _eager_rule22(boards, events)
             elif n == 2:
                 pair = ((open_bits & -open_bits).bit_length() - 1, open_bits.bit_length() - 1)
                 if registry.entries.get((bx, d)) == pair:
                     continue
                 boards.record(bx, d, pair)
-                finds.append(Phase1Find("half_double", bx, pair, (d,)))
                 events.append(TraceEvent("1.2", "half double",
                                          structure=Structure("box", bx),
                                          cells=pair, digits=(d,)))
-                _try_corollaries(boards, bx, d, pair, triples_enabled, events, finds)
-    return finds
+                _try_corollaries(boards, bx, d, pair, triples_enabled, events)
+    return events[start:]
 
 
 def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
@@ -294,7 +286,6 @@ def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
     run = Phase1Run()
     while True:
         finds = step1_scan(grid, registry, triples_enabled, trace=events)
-        run.finds.extend(finds)
         run.finds_per_pass.append(len(finds))
         if not finds:
             break

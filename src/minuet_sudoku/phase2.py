@@ -15,14 +15,16 @@ group form a smaller group of the other kind, which the earlier scans look
 for.  Quadruples would need 8+ unsolved cells and are rare enough that
 hunting them never pays, so they are deliberately not implemented.
 
-The fixpoint driver tracks dirty structures (a structure is rescanned only
-after one of its cells changed), which skips provably find-free scans without
+Every find is logged as one ``TraceEvent`` (step "3.1", "3.2" or "3.3"),
+and that event is the only record of it: the detectors return the events they
+appended, and ``step3_fixpoint`` counts a sweep's finds as the growth of
+the trace.  It tracks dirty structures (a structure is rescanned only after
+one of its cells changed), which skips provably find-free scans without
 altering finds, events, or the final grid.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -32,19 +34,11 @@ from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCTS_OF, STRUCTURES,
 from .trace import TraceEvent
 
 GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
-
-
-@dataclass(frozen=True, slots=True)
-class GroupFind:
-    kind: str  # naked_single | hidden_single | naked_double | hidden_double | naked_triple | hidden_triple
-    structure: Structure
-    cells: tuple[int, ...]
-    digits: tuple[int, ...]
+STRUCT_SET_OF = tuple(sum(1 << s for s in STRUCTS_OF[c]) for c in range(81))  # 27-bit
 
 
 @dataclass(slots=True)
 class FixpointRun:
-    finds: list[GroupFind] = field(default_factory=list)
     finds_per_sweep: list[int] = field(default_factory=list)
 
     @property
@@ -75,8 +69,7 @@ def _ink(grid, cell, digit, step, rule, s, events, view, touched) -> None:
 
 
 def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
-                  touched: set) -> list[GroupFind]:
-    finds = []
+                  touched: set) -> None:
     cells = CELLS_OF[s]
     masks = grid.masks
     solved = grid.solved
@@ -94,7 +87,6 @@ def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
             _ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
-            finds.append(GroupFind("naked_single", STRUCTURES[s], (naked,), (d,)))
             continue
         pos = digit_positions(masks, s)
         for d in DIGITS_OF[ALL_DIGITS & ~inked_mask]:
@@ -104,10 +96,9 @@ def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
             if not p & (p - 1):
                 c = cells[p.bit_length() - 1]
                 _ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
-                finds.append(GroupFind("hidden_single", STRUCTURES[s], (c,), (d,)))
                 break
         else:
-            return finds
+            return
 
 
 def _groups(items: list[tuple[int, int]], k: int):
@@ -135,51 +126,57 @@ def _candidate_groups(masks: list[int], s: int, unsolved: list[int], k: int):
 
 
 def _scan_groups(grid: Grid, s: int, k: int, events: list, view: str | None,
-                 touched: set, use_guards: bool) -> list[GroupFind]:
+                 touched: set, use_guards: bool) -> None:
     """Clean up (Rule 21) the first group whose cleanup erases something,
-    report it, and look again, until no group erases anything."""
+    log it, and look again, until no group erases anything."""
     unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
     if use_guards and len(unsolved) < 2 * k:
-        return []
+        return
     step, size = GROUP_NAMES[k]
-    finds = []
     while True:
         for kind, group, digits, group_mask in _candidate_groups(grid.masks, s, unsolved, k):
             erased = _cleanup_group(grid, group, group_mask, touched)
             if erased:
-                finds.append(GroupFind(f"{kind}_{size}", STRUCTURES[s], group, digits))
                 events.append(TraceEvent(step, f"{kind} {size}", view=view,
                                          structure=STRUCTURES[s], cells=group,
                                          digits=digits, erased=tuple(erased)))
                 break
         else:
-            return finds
+            return
 
 
 def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None) -> list[GroupFind]:
-    """Ink every naked and hidden single currently visible in the structure."""
+                   view: str | None = None) -> list[TraceEvent]:
+    """Ink every naked and hidden single currently visible in the structure.
+    Returns the events appended, one per find."""
     events = trace if trace is not None else []
-    return _scan_singles(grid, flat_structure(s), events, view, set())
+    start = len(events)
+    _scan_singles(grid, flat_structure(s), events, view, set())
+    return events[start:]
 
 
 def detect_doubles(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None, use_guards: bool = True) -> list[GroupFind]:
+                   view: str | None = None, use_guards: bool = True) -> list[TraceEvent]:
     """Find and clean up naked/hidden doubles in the structure.
 
     Skipped when the structure has fewer than 4 unsolved cells (see the
-    module docstring).  A find is reported only when its cleanup actually
-    erased something.
+    module docstring).  A find is logged only when its cleanup actually
+    erased something.  Returns the events appended, one per find.
     """
     events = trace if trace is not None else []
-    return _scan_groups(grid, flat_structure(s), 2, events, view, set(), use_guards)
+    start = len(events)
+    _scan_groups(grid, flat_structure(s), 2, events, view, set(), use_guards)
+    return events[start:]
 
 
 def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None, use_guards: bool = True) -> list[GroupFind]:
-    """Find and clean up naked/hidden triples; skipped under 6 unsolved cells."""
+                   view: str | None = None, use_guards: bool = True) -> list[TraceEvent]:
+    """Find and clean up naked/hidden triples; skipped under 6 unsolved cells.
+    Returns the events appended, one per find."""
     events = trace if trace is not None else []
-    return _scan_groups(grid, flat_structure(s), 3, events, view, set(), use_guards)
+    start = len(events)
+    _scan_groups(grid, flat_structure(s), 3, events, view, set(), use_guards)
+    return events[start:]
 
 
 def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = None,
@@ -190,45 +187,40 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
     states with no solution (meaningful inside minuet hypothesis views).
 
     A structure unchanged since its last scan cannot yield a find, so each
-    sweep visits only the dirty ones: a structure dirtied ahead of the
-    cursor is scanned later in the same sweep, one dirtied at or behind it
-    waits for the next.  Finds, events, sweep counts and the final grid are
-    exactly those of scanning all 27 structures every sweep.  ``touched``
-    names the cells changed since the grid was last at a fixpoint; only
-    their structures start dirty.  Without it, all 27 do.
+    sweep visits only the dirty ones, lowest flat id first: a structure
+    dirtied ahead of the cursor is scanned later in the same sweep, one
+    dirtied at or behind it waits for the next.  Both sets are 27-bit ints.
+    Finds, events, sweep counts and the final grid are exactly those of
+    scanning all 27 structures every sweep.  A sweep's finds are the events
+    it appended.  ``touched`` names the cells changed since the grid was last
+    at a fixpoint; only their structures start dirty.  Without it, all 27 do.
     """
     events = trace if trace is not None else []
     run = FixpointRun()
     if touched is None:
-        current = list(range(27))
+        dirty = (1 << 27) - 1
     else:
-        current = sorted({s for c in touched for s in STRUCTS_OF[c]})
-    in_current = set(current)
-    next_sweep: set[int] = set()
-    while current:
-        n = 0
-        idx = 0
-        while idx < len(current):
-            s = current[idx]
-            idx += 1
-            in_current.discard(s)
+        dirty = 0
+        for c in touched:
+            dirty |= STRUCT_SET_OF[c]
+    while True:
+        start = len(events)
+        later = 0
+        while dirty:
+            s = (dirty & -dirty).bit_length() - 1
+            dirty &= dirty - 1
             changed: set[int] = set()
-            found = _scan_singles(grid, s, events, view, changed)
+            _scan_singles(grid, s, events, view, changed)
             for k in GROUP_NAMES:
-                found += _scan_groups(grid, s, k, events, view, changed, use_guards)
-            n += len(found)
-            run.finds.extend(found)
+                _scan_groups(grid, s, k, events, view, changed, use_guards)
+            hit = 0
             for c in changed:
-                for ds in STRUCTS_OF[c]:
-                    if ds > s and ds not in in_current:
-                        insort(current, ds)
-                        in_current.add(ds)
-                    elif ds <= s:
-                        next_sweep.add(ds)
+                hit |= STRUCT_SET_OF[c]
+            behind = (2 << s) - 1
+            dirty |= hit & ~behind
+            later |= hit & behind
+        n = len(events) - start
         run.finds_per_sweep.append(n)
-        current = sorted(next_sweep)
-        in_current = set(current)
-        next_sweep.clear()
-    if not run.finds_per_sweep or run.finds_per_sweep[-1] != 0:
-        run.finds_per_sweep.append(0)
-    return run
+        if not n:
+            return run
+        dirty = later

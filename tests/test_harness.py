@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -95,8 +96,27 @@ def test_batch_aborts_on_oracle_mismatch(tmp_path, monkeypatch):
         return outcome
 
     monkeypatch.setattr(harness, "solve", sabotaged)
+    for jobs in (1, 2):
+        with pytest.raises(SelfCheckFailed):
+            batch_solve(small_corpus(tmp_path, [EASY]), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkeypatch,
+                                                                jobs):
+    # sound rules cannot contradict on a puzzle the oracle verified as well-posed
+    real_solve = harness.solve
+
+    def contradicts_on_medium(grid, cfg=None, **kwargs):
+        outcome = real_solve(grid, cfg, **kwargs)
+        if serialize_grid(grid) == MEDIUM:
+            return dataclasses.replace(outcome, status="ill_posed",
+                                       reason="empty_cell: cell 0")
+        return outcome
+
+    monkeypatch.setattr(harness, "solve", contradicts_on_medium)
     with pytest.raises(SelfCheckFailed):
-        batch_solve(small_corpus(tmp_path, [EASY]))
+        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
 
 
 def test_batch_easy_corpus_needs_no_minuets():

@@ -42,7 +42,6 @@ def test_enumerate_starters_on_bivalue_grid():
     for c in (1, 2):
         d = g.solved[c]
         g.solved[c] = 0
-        g.given[c] = False
     g.masks[1] = g.masks[2] = mask_of({3, 4})
     starters = enumerate_starters(g)
     assert len(starters) >= 2
@@ -55,7 +54,6 @@ def test_enumerate_starters_dedupes_half_doubles():
     g = parse_grid(EASY_SOLUTION)
     for c in (1, 2):
         g.solved[c] = 0
-        g.given[c] = False
     g.masks[1] = g.masks[2] = mask_of({3, 4})
     starters = enumerate_starters(g)
     # 3 is restricted to cells {1, 2} in row 0, box 0 *and* nowhere else:

@@ -106,7 +106,7 @@ def test_step1_hidden_single_when_one_cell_remains():
     g = grid_with({14: 1, 24: 1, 56: 1, 37: 1})
     registry = HalfDoubleRegistry()
     finds = step1_scan(g, registry)
-    assert any(f.kind == "hidden_single" and f.cells == (0,) and f.digits == (1,)
+    assert any(f.rule == "hidden single" and f.cells == (0,) and f.digits == (1,)
                for f in finds)
     assert g.solved[0] == 1
 
@@ -116,10 +116,10 @@ def test_step1_half_double_and_corollary_13a():
     g = grid_with({13: 1, 14: 2, 24: 1, 25: 2, 56: 1, 65: 2})
     registry = HalfDoubleRegistry()
     finds = step1_scan(g, registry)
-    kinds = {(f.kind, f.digits) for f in finds}
-    assert ("half_double", (1,)) in kinds
-    assert ("half_double", (2,)) in kinds
-    assert any(f.kind == "hidden_double" and f.cells == (0, 1) and f.digits == (1, 2)
+    rules = {(f.rule, f.digits) for f in finds}
+    assert ("half double", (1,)) in rules
+    assert ("half double", (2,)) in rules
+    assert any(f.rule == "hidden double" and f.cells == (0, 1) and f.digits == (1, 2)
                for f in finds)
     assert registry.claimed[0] == (BIT[1] | BIT[2])
     assert g.candidates(0) == {1, 2} and g.candidates(1) == {1, 2}
@@ -132,11 +132,11 @@ def test_step1_passive_single_rule_22():
                    27: 2, 28: 3, 29: 4, 37: 5, 38: 6, 45: 7, 46: 8, 47: 9})
     registry = HalfDoubleRegistry()
     finds = step1_scan(g, registry)
-    assert any(f.kind == "half_double" and f.cells == (0, 1) and f.digits == (1,)
+    assert any(f.rule == "half double" and f.cells == (0, 1) and f.digits == (1,)
                for f in finds)
-    assert any(f.kind == "hidden_single" and f.cells == (36,) and f.digits == (1,)
+    assert any(f.rule == "hidden single" and f.cells == (36,) and f.digits == (1,)
                for f in finds)
-    assert any(f.kind == "passive_single" and f.cells == (1,) and f.digits == (1,)
+    assert any(f.rule == "passive single" and f.cells == (1,) and f.digits == (1,)
                for f in finds)
     assert g.solved[1] == 1
 

@@ -5,7 +5,7 @@ import pytest
 from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
                            detect_doubles, detect_singles, detect_triples,
                            parse_grid, step3_fixpoint)
-from minuet_sudoku.grid import BIT, CELLS_OF, Grid, mask_of
+from minuet_sudoku.grid import BIT, CELLS_OF, DIGITS_OF, STRUCTURES, Grid, mask_of
 
 from conftest import random_full_grid
 from puzzles import EASY, HARD, MEDIUM, TRICKY
@@ -21,7 +21,7 @@ def masked_grid(cell_masks: dict[int, set[int]]) -> Grid:
 def test_naked_single_is_inked():
     g = masked_grid({5: {4}})
     finds = detect_singles(g, Structure("row", 0))
-    assert [(f.kind, f.cells, f.digits) for f in finds] == [("naked_single", (5,), (4,))]
+    assert [(f.rule, f.cells, f.digits) for f in finds] == [("naked single", (5,), (4,))]
     assert g.solved[5] == 4
 
 
@@ -31,7 +31,7 @@ def test_hidden_single_is_inked():
         if c != 20:
             g.masks[c] &= ~BIT[6]
     finds = detect_singles(g, Structure("row", 2))
-    assert ("hidden_single", (20,), (6,)) in [(f.kind, f.cells, f.digits) for f in finds]
+    assert ("hidden single", (20,), (6,)) in [(f.rule, f.cells, f.digits) for f in finds]
     assert g.solved[20] == 6
 
 
@@ -66,13 +66,13 @@ def test_rule_22_scenario_is_caught_as_hidden_single():
             g.masks[c] &= ~BIT[5]
     g.masks[0] &= ~BIT[5]
     finds = detect_singles(g, Structure("row", 0))
-    assert ("hidden_single", (4,), (5,)) in [(f.kind, f.cells, f.digits) for f in finds]
+    assert ("hidden single", (4,), (5,)) in [(f.rule, f.cells, f.digits) for f in finds]
 
 
 def test_naked_double_cleans_column():
     g = masked_grid({2: {2, 7}, 29: {2, 7}})
     finds = detect_doubles(g, Structure("col", 2))
-    assert any(f.kind == "naked_double" and set(f.cells) == {2, 29} for f in finds)
+    assert any(f.rule == "naked double" and set(f.cells) == {2, 29} for f in finds)
     for c in CELLS_OF[9 + 2]:
         if c not in (2, 29):
             assert not g.masks[c] & (BIT[2] | BIT[7])
@@ -85,7 +85,7 @@ def test_hidden_double_strips_foreign_candidates():
         if c not in (30, 40):
             g.masks[c] &= ~(BIT[3] | BIT[8])
     finds = detect_doubles(g, Structure("box", 4))
-    assert any(f.kind == "hidden_double" and set(f.digits) == {3, 8} for f in finds)
+    assert any(f.rule == "hidden double" and set(f.digits) == {3, 8} for f in finds)
     assert g.candidates(30) == {3, 8}
     assert g.candidates(40) == {3, 8}
 
@@ -116,7 +116,7 @@ def test_doubles_guard_skips_small_structures():
 def test_naked_triple_from_paired_cells():
     g = masked_grid({0: {5, 6}, 1: {6, 8}, 2: {5, 8}})
     finds = detect_triples(g, Structure("row", 0))
-    assert any(f.kind == "naked_triple" and f.digits == (5, 6, 8) for f in finds)
+    assert any(f.rule == "naked triple" and f.digits == (5, 6, 8) for f in finds)
     for c in CELLS_OF[0][3:]:
         assert not g.masks[c] & mask_of({5, 6, 8})
 
@@ -124,7 +124,7 @@ def test_naked_triple_from_paired_cells():
 def test_naked_triple_with_embedded_pair():
     g = masked_grid({9: {3, 6}, 10: {3, 7}, 11: {3, 6, 7}})
     finds = detect_triples(g, Structure("row", 1))
-    assert any(f.kind == "naked_triple" and f.digits == (3, 6, 7) for f in finds)
+    assert any(f.rule == "naked triple" and f.digits == (3, 6, 7) for f in finds)
 
 
 def test_triples_guard_skips_under_six_unsolved():
@@ -160,7 +160,44 @@ def test_step3_on_solved_grid_is_one_empty_sweep():
     step3_fixpoint(g)
     run = step3_fixpoint(g)
     assert run.finds_per_sweep == [0]
-    assert run.finds == []
+
+
+def full_sweeps(grid: Grid) -> tuple[list, list[int]]:
+    """Step 3 without dirty tracking: scan all 27 structures every sweep
+    until a sweep finds nothing.  Returns the events and finds per sweep."""
+    events, per_sweep = [], []
+    while True:
+        n = 0
+        for s in STRUCTURES:
+            n += len(detect_singles(grid, s, trace=events))
+            n += len(detect_doubles(grid, s, trace=events))
+            n += len(detect_triples(grid, s, trace=events))
+        per_sweep.append(n)
+        if not n:
+            return events, per_sweep
+
+
+def test_step3_schedule_matches_full_sweeps(full_corpus, solutions):
+    narrowed = 0
+    for puzzle in full_corpus:
+        grid, ref = parse_grid(puzzle), parse_grid(puzzle)
+        events = []
+        run = step3_fixpoint(grid, trace=events)
+        assert (events, run.finds_per_sweep) == full_sweeps(ref), puzzle
+        assert grid == ref
+        # one sound narrowing of the fixpoint grid: only its cell is touched
+        c = next((c for c in range(81) if not grid.solved[c]), None)
+        if c is None:
+            continue
+        truth = int(solutions[puzzle][c])
+        grid.masks[c] &= ~BIT[next(d for d in DIGITS_OF[grid.masks[c]] if d != truth)]
+        ref = grid.copy()
+        events = []
+        run = step3_fixpoint(grid, trace=events, touched={c})
+        assert (events, run.finds_per_sweep) == full_sweeps(ref), puzzle
+        assert grid == ref
+        narrowed += 1
+    assert narrowed > 0
 
 
 @pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD, TRICKY])
