@@ -14,9 +14,9 @@ from .phase2 import (FixpointRun, detect_singles, detect_doubles, detect_triples
                      step3_fixpoint)
 from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
                      SolveStats, SolveOutcome, FailureReport, NoStarters,
-                     BothContradicted, enumerate_starters, init_hypotheses,
-                     dance_alone, dance_together, commit_retained, run_minuet,
-                     solve)
+                     BothContradicted, InconsistentSolution, enumerate_starters,
+                     init_hypotheses, dance_alone, dance_together, commit_retained,
+                     run_minuet, solve)
 from .harness import (CorpusEntry, CorpusLoad, EmptyCorpus, SelfCheckFailed,
                       BatchStats, BatchResult, load_corpus, batch_solve,
                       confidence_upper_bound, render_trace, render_report,

@@ -56,6 +56,7 @@ CELLS_OF: tuple[tuple[int, ...], ...] = tuple(
 STRUCT_BITS = tuple(sum(1 << c for c in cells) for cells in CELLS_OF)  # 81-bit, by flat id
 
 STRUCTS_OF = tuple((ROW_OF[i], 9 + COL_OF[i], 18 + BOX_OF[i]) for i in range(81))
+STRUCT_SET_OF = tuple(sum(1 << s for s in STRUCTS_OF[c]) for c in range(81))  # 27-bit, by flat id
 
 PEERS: tuple[tuple[int, ...], ...] = tuple(
     tuple(sorted((set(CELLS_OF[r]) | set(CELLS_OF[c]) | set(CELLS_OF[b])) - {i}))

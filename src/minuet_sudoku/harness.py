@@ -4,11 +4,11 @@ A batch entry runs the oracle once, and every self-check of the entry runs
 with that one verdict in the same worker.  An entry the oracle finds
 ill-posed is skipped.  On a well-posed entry the solver must either return
 the oracle's solution or a conjecture-failure report that names the entry's
-puzzle and passes ``validate_report``; a different answer, a failed report
-or a contradiction (which sound rules cannot reach on a well-posed puzzle)
-raises SelfCheckFailed and aborts the run, since it means a deduction rule
-is unsound.  Conjecture failures are emitted as validated, machine-readable
-counterexample reports.
+puzzle and passes ``validate_report``; a different answer, a completed
+grid that breaks the rules, a failed report or a contradiction (which sound
+rules cannot reach on a well-posed puzzle) raises SelfCheckFailed and aborts
+the run, since it means a deduction rule is unsound.  Conjecture failures are
+emitted as validated, machine-readable counterexample reports.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import oracle
 from .grid import DIGITS_OF, GridError, parse_grid, serialize_grid
-from .minuet import FailureReport, SolveOutcome, solve
+from .minuet import FailureReport, InconsistentSolution, SolveOutcome, solve
 from .trace import TraceEvent
 
 
@@ -92,8 +92,9 @@ def _run_entry(entry: CorpusEntry) -> PuzzleResult:
     The verdict goes to ``solve()`` for the failure report and to
     ``validate_report``.  An exception from the oracle check or the solve
     becomes an "error" result, so one bad puzzle does not lose the rest of
-    the batch.  A solved answer other than the oracle's, a contradiction on
-    a well-posed puzzle, or a report that fails validation raises
+    the batch.  A solved answer other than the oracle's, a completed grid
+    that breaks the rules (``InconsistentSolution``), a contradiction on a
+    well-posed puzzle, or a report that fails validation raises
     SelfCheckFailed, which aborts the batch.
     """
     well_posedness = "unknown"
@@ -110,6 +111,8 @@ def _run_entry(entry: CorpusEntry) -> PuzzleResult:
         t0 = time.perf_counter()
         outcome: SolveOutcome = solve(grid, verdict=wp)
         elapsed = time.perf_counter() - t0
+    except InconsistentSolution as e:
+        raise SelfCheckFailed(f"line {entry.line_no}: {e}") from e
     except Exception as e:
         return PuzzleResult(entry.line_no, "error", well_posedness, 0.0,
                             error=f"{type(e).__name__}: {e}",

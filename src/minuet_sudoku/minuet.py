@@ -31,6 +31,10 @@ class BothContradicted(Exception):
     """Both hypotheses of an exhaustive binary choice failed: no solution exists."""
 
 
+class InconsistentSolution(RuntimeError):
+    """``solve()`` completed a grid that breaks the rules: a deduction rule is unsound."""
+
+
 @dataclass(frozen=True, slots=True)
 class Starter:
     kind: str  # "bivalue" | "half_double"
@@ -180,16 +184,24 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
 
 def init_hypotheses(grid: Grid, starter: Starter,
                     trace: list | None = None) -> MinuetState:
-    """Copy the base twice, assert one choice per view, develop both."""
+    """Copy the base twice, assert one choice per view, develop both.
+
+    The base must be at a Step-3 fixpoint, as it is whenever ``solve()``
+    dances a starter.  Then only the starter's cell and the peers its ink
+    erased from differ from a fixpoint, so each view's Step 3 starts with
+    just their structures dirty.
+    """
     events = trace if trace is not None else []
     state = MinuetState(starter,
                         HypothesisView("circle", grid.copy()),
                         HypothesisView("square", grid.copy()))
     for view, (cell, digit) in zip((state.circle, state.square), starter.choices()):
         try:
-            events.append(place_ink(view.shadow, cell, digit, step="4",
-                                    rule="starter", view=view.label))
-            step3_fixpoint(view.shadow, trace=events, view=view.label)
+            ev = place_ink(view.shadow, cell, digit, step="4", rule="starter",
+                           view=view.label)
+            events.append(ev)
+            step3_fixpoint(view.shadow, trace=events, view=view.label,
+                           touched={cell, *(p for p, _ in ev.erased)})
         except ContradictionFound as e:
             view.status = "contradicted"
             view.reason = e
@@ -463,5 +475,5 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
 
     issue = check_consistency(grid)
     if issue is not None:
-        raise RuntimeError(f"solver produced an inconsistent grid: {issue}")
+        raise InconsistentSolution(f"solver produced an inconsistent grid: {issue}")
     return SolveOutcome("solved", grid, start, trace, stats)

@@ -6,14 +6,16 @@ the deduction modules: it imports only the grid type, the topology tables and
 the consistency check.  The search builds its own candidate masks from the
 inked cells alone, ignoring the grid's pencil marks, and propagates naked and
 hidden singles with its own code before each branch, so it is a genuinely
-independent check on the solver.
+independent check on the solver.  The hidden-single search rescans only the
+units (rows, columns, boxes) whose masks changed since their last scan,
+kept as a 27-bit set, like Step 3's dirty structures but in its own code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, Grid,
+from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF, Grid,
                    check_consistency)
 
 MIN_CLUES_FOR_UNIQUE = 17  # no 16-clue puzzle has a unique solution
@@ -33,12 +35,22 @@ class WellPosedness:
         return self.status == "well_posed"
 
 
-def _propagate(cand: list[int], todo: list[int]) -> bool:
+def _propagate(cand: list[int], todo: list[int], dirty: int) -> bool:
     """Run naked and hidden singles on ``cand`` to a fixpoint, in place.
 
     A cell whose mask is one bit holds that digit.  ``todo`` lists the cells
-    whose digit is not yet erased from their peers.  Returns False at a dead
-    end: a cell with no candidate, or a unit with a digit that fits nowhere.
+    whose digit is not yet erased from their peers.  ``dirty`` is a 27-bit
+    set of the units whose masks changed since their last hidden-single
+    scan: a unit nothing has changed cannot yield a find, so only dirty
+    units are scanned, lowest first.  Narrowing a cell marks its three units
+    dirty.  After a unit yields a hidden single the naked singles run again
+    before the remaining dirty units are scanned.
+
+    Returns False at a dead end: a cell with no candidate, a unit with a
+    digit that fits nowhere, or a cell that is the only place of two digits.
+    Each stays a dead end under any further narrowing, so the result, and
+    the masks when it is True, do not depend on the scan order: they are
+    those of scanning all 27 units every round.
     """
     while True:
         while todo:
@@ -51,9 +63,13 @@ def _propagate(cand: list[int], todo: list[int]) -> bool:
                     if not m:
                         return False
                     cand[p] = m
+                    dirty |= STRUCT_SET_OF[p]
                     if not m & (m - 1):
                         todo.append(p)
-        for unit in CELLS_OF:
+        while dirty and not todo:
+            u = (dirty & -dirty).bit_length() - 1
+            dirty &= dirty - 1
+            unit = CELLS_OF[u]
             seen = twice = 0
             for c in unit:
                 m = cand[c]
@@ -65,11 +81,12 @@ def _propagate(cand: list[int], todo: list[int]) -> bool:
             if once:
                 for c in unit:
                     m = cand[c] & once
+                    if m & (m - 1):
+                        return False  # two digits with this cell as their only place
                     if m and m != cand[c]:
-                        if m & (m - 1):
-                            return False  # two digits with this cell as their only place
                         cand[c] = m
                         todo.append(c)
+                        dirty |= STRUCT_SET_OF[c]
         if not todo:
             return True
 
@@ -80,7 +97,10 @@ def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
     The state is 81 candidate masks built from the inked cells alone.  Each
     node propagates singles, then branches on a cell with the fewest
     candidates (ties by ascending index), digits ascending, each branch on
-    its own copy of the masks.
+    its own copy of the masks.  The root's propagation starts with all 27
+    units dirty.  A node's masks are at the singles fixpoint, so a branch
+    differs from them only in the branched cell and starts with that
+    cell's three units dirty.
     """
     cand = [BIT[d] if d else ALL_DIGITS for d in values]
     first: list[list[int]] = []
@@ -102,13 +122,13 @@ def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
         for d in DIGITS_OF[cand[pick]]:
             child = cand.copy()
             child[pick] = BIT[d]
-            if _propagate(child, [pick]):
+            if _propagate(child, [pick], STRUCT_SET_OF[pick]):
                 count += dfs(child, budget - count)
                 if count >= budget:
                     break
         return count
 
-    if not _propagate(cand, [i for i in range(81) if values[i]]):
+    if not _propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
         return 0, None
     n = dfs(cand, cap)
     return n, (first[0] if first else None)

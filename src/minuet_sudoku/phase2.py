@@ -28,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCTS_OF, STRUCTURES,
+from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF, STRUCTURES,
                    ContradictionFound, Grid, Structure, block_group, cells_at,
                    digit_positions, flat_structure, mask_of, place_ink)
 from .trace import TraceEvent
 
 GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
-STRUCT_SET_OF = tuple(sum(1 << s for s in STRUCTS_OF[c]) for c in range(81))  # 27-bit
 
 
 @dataclass(slots=True)

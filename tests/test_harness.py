@@ -12,12 +12,12 @@ from minuet_sudoku import (EmptyCorpus, SelfCheckFailed, Structure, batch_solve,
                            brute_solve, confidence_upper_bound, detect_singles,
                            load_corpus, parse_grid, render_report, render_trace,
                            serialize_grid, solve, validate_report)
-from minuet_sudoku import harness
-from minuet_sudoku.grid import BIT, Grid
+from minuet_sudoku import harness, minuet
+from minuet_sudoku.grid import BIT, ConsistencyIssue, Grid
 from minuet_sudoku.harness import BatchStats
 
 from conftest import CORPORA, dig_minimal
-from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL, TRICKY
+from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, MEDIUM_SOLUTION, STALL, TRICKY
 
 
 # --- corpus loading ---------------------------------------------------------
@@ -116,6 +116,22 @@ def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkey
 
     monkeypatch.setattr(harness, "solve", contradicts_on_medium)
     with pytest.raises(SelfCheckFailed):
+        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_aborts_on_an_inconsistent_solved_grid(tmp_path, monkeypatch, jobs):
+    # solve()'s own soundness check fires on the completed grid of MEDIUM, a
+    # puzzle the oracle verified: that is a self-check failure, not an error
+    real_check = minuet.check_consistency
+
+    def flags_medium(grid):
+        if serialize_grid(grid) == MEDIUM_SOLUTION:
+            return ConsistencyIssue("conflict", Structure("row", 0), 9)
+        return real_check(grid)
+
+    monkeypatch.setattr(minuet, "check_consistency", flags_medium)
+    with pytest.raises(SelfCheckFailed, match="line 2: solver produced an inconsistent"):
         batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
 
 

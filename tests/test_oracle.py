@@ -8,9 +8,9 @@ from minuet_sudoku import (Grid, NotWellPosed, brute_solve, check_consistency,
                            count_solutions, parse_grid, serialize_grid,
                            verify_well_posed)
 from minuet_sudoku import oracle
-from minuet_sudoku.grid import PEERS
+from minuet_sudoku.grid import ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF
 
-from conftest import random_full_grid
+from conftest import dig_minimal, random_full_grid
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
 
 
@@ -110,6 +110,80 @@ def test_count_matches_naive_counter():
         if source is not None and counts[-1] == 1:
             assert serialize_grid(brute_solve(g)) == source
     assert seen == {0, 1, 2, 3}  # no solution, unique, and many all occur
+
+
+def full_scan_propagate(cand: list[int], todo: list[int]) -> bool:
+    """Naked and hidden singles to a fixpoint, scanning all 27 units for
+    hidden singles every round: the reference for ``oracle._propagate``.
+
+    Its dead ends are ``_propagate``'s.  The two-digit dead end is checked
+    on every cell, also on one that holds just those two digits: skipping
+    that cell lets further narrowing hide the dead end, and the fixpoint
+    would then depend on the scan order."""
+    while True:
+        while todo:
+            cell = todo.pop()
+            b = cand[cell]
+            for p in PEERS[cell]:
+                m = cand[p]
+                if m & b:
+                    m ^= b
+                    if not m:
+                        return False
+                    cand[p] = m
+                    if not m & (m - 1):
+                        todo.append(p)
+        for unit in CELLS_OF:
+            seen = twice = 0
+            for c in unit:
+                m = cand[c]
+                twice |= seen & m
+                seen |= m
+            if seen != ALL_DIGITS:
+                return False
+            once = seen & ~twice
+            if once:
+                for c in unit:
+                    m = cand[c] & once
+                    if m & (m - 1):
+                        return False
+                    if m and m != cand[c]:
+                        cand[c] = m
+                        todo.append(c)
+        if not todo:
+            return True
+
+
+def test_propagate_matches_full_scan_reference():
+    """Rescanning only the dirty units reaches the full scan's verdict and,
+    when it is True, the same masks: at the root, and for every branch on a
+    few unsolved cells of each root fixpoint."""
+    rng = random.Random(31)
+    cases = [p for p, _ in dug_grids(30, 24, (18, 40))]
+    cases += [dig_minimal(rng) for _ in range(4)]
+    cases += [with_one_given_changed(rng, p) for p in cases[:14]]
+    verdicts = []
+    for puzzle in cases:
+        values = [0 if ch == "." else int(ch) for ch in puzzle]
+        cand = [BIT[d] if d else ALL_DIGITS for d in values]
+        givens = [i for i in range(81) if values[i]]
+        ref = cand.copy()
+        ok = oracle._propagate(cand, givens.copy(), (1 << 27) - 1)
+        assert ok == full_scan_propagate(ref, givens.copy()), puzzle
+        verdicts.append(ok)
+        if not ok:
+            continue
+        assert cand == ref, puzzle
+        for c in [c for c in range(81) if cand[c] & (cand[c] - 1)][:4]:
+            for d in DIGITS_OF[cand[c]]:
+                child, ref = cand.copy(), cand.copy()
+                child[c] = ref[c] = BIT[d]
+                ok = oracle._propagate(child, [c], STRUCT_SET_OF[c])
+                assert ok == full_scan_propagate(ref, [c]), (puzzle, c, d)
+                verdicts.append(ok)
+                if ok:
+                    assert child == ref, (puzzle, c, d)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 20
 
 
 def test_brute_solve_identity_on_solved_grid():

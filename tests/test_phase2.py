@@ -4,7 +4,7 @@ import pytest
 
 from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
                            detect_doubles, detect_singles, detect_triples,
-                           parse_grid, step3_fixpoint)
+                           enumerate_starters, parse_grid, place_ink, step3_fixpoint)
 from minuet_sudoku.grid import BIT, CELLS_OF, DIGITS_OF, STRUCTURES, Grid, mask_of
 
 from conftest import random_full_grid
@@ -162,10 +162,11 @@ def test_step3_on_solved_grid_is_one_empty_sweep():
     assert run.finds_per_sweep == [0]
 
 
-def full_sweeps(grid: Grid) -> tuple[list, list[int]]:
+def full_sweeps(grid: Grid, events: list) -> list[int]:
     """Step 3 without dirty tracking: scan all 27 structures every sweep
-    until a sweep finds nothing.  Returns the events and finds per sweep."""
-    events, per_sweep = [], []
+    until a sweep finds nothing.  Appends the events; returns the finds per
+    sweep."""
+    per_sweep = []
     while True:
         n = 0
         for s in STRUCTURES:
@@ -174,30 +175,52 @@ def full_sweeps(grid: Grid) -> tuple[list, list[int]]:
             n += len(detect_triples(grid, s, trace=events))
         per_sweep.append(n)
         if not n:
-            return events, per_sweep
+            return per_sweep
+
+
+def schedule_and_reference(grid: Grid, touched: set[int] | None = None):
+    """(events, finds per sweep or the contradiction, final grid) of
+    ``step3_fixpoint(touched=...)`` on ``grid`` and of ``full_sweeps`` on a copy."""
+    runs = (lambda g, ev: step3_fixpoint(g, trace=ev, touched=touched).finds_per_sweep,
+            full_sweeps)
+    out = []
+    for run, g in zip(runs, (grid, grid.copy())):
+        events = []
+        try:
+            result = run(g, events)
+        except ContradictionFound as e:
+            result = str(e)
+        out.append((events, result, g))
+    return out
 
 
 def test_step3_schedule_matches_full_sweeps(full_corpus, solutions):
-    narrowed = 0
+    narrowed = danced = contradicted = 0
     for puzzle in full_corpus:
-        grid, ref = parse_grid(puzzle), parse_grid(puzzle)
-        events = []
-        run = step3_fixpoint(grid, trace=events)
-        assert (events, run.finds_per_sweep) == full_sweeps(ref), puzzle
-        assert grid == ref
-        # one sound narrowing of the fixpoint grid: only its cell is touched
+        grid = parse_grid(puzzle)
+        got, want = schedule_and_reference(grid)
+        assert got == want, puzzle
         c = next((c for c in range(81) if not grid.solved[c]), None)
         if c is None:
             continue
+        # both choices of the first starters: only the ink's cell and the
+        # peers it erased from are touched
+        for starter in enumerate_starters(grid)[:3]:
+            for cell, digit in starter.choices():
+                view = grid.copy()
+                ev = place_ink(view, cell, digit)
+                got, want = schedule_and_reference(
+                    view, {cell, *(p for p, _ in ev.erased)})
+                assert got == want, (puzzle, cell, digit)
+                danced += 1
+                contradicted += isinstance(got[1], str)
+        # one sound narrowing of the fixpoint grid: only its cell is touched
         truth = int(solutions[puzzle][c])
         grid.masks[c] &= ~BIT[next(d for d in DIGITS_OF[grid.masks[c]] if d != truth)]
-        ref = grid.copy()
-        events = []
-        run = step3_fixpoint(grid, trace=events, touched={c})
-        assert (events, run.finds_per_sweep) == full_sweeps(ref), puzzle
-        assert grid == ref
+        got, want = schedule_and_reference(grid, {c})
+        assert got == want, puzzle
         narrowed += 1
-    assert narrowed > 0
+    assert narrowed > 0 and contradicted > 0 and danced > contradicted
 
 
 @pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD, TRICKY])
