@@ -32,14 +32,14 @@ def test_record_bench_writes_every_workload_at_both_trace_levels(tmp_path, monke
     tool = load_tool()
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     checkout = fake_checkout(tmp_path / "checkout", True)
-    assert tool.main(["7", "--checkout", str(checkout), "--seed", "5", "--seconds", "2"]) == 0
+    assert tool.main(["7", "--checkout", str(checkout)]) == 0
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
-    assert record["label"] == "7" and record["seed"] == 5 and record["seconds"] == 2.0
+    assert record["label"] == "7" and record["seed"] == 4242 and record["seconds"] == 30.0
     assert record["python"] and record["cores"] >= 1
     assert [(r["workload"], r["trace"]) for r in record["runs"]] == [
         (w, t) for w in ("fixpoint", "minuet", "stall") for t in (0, 1)]
     assert record["runs"][5]["result"]["metrics"]["args"] == {
-        "--workload": "stall", "--seed": "5", "--seconds": "2.0", "--trace": "1"}
+        "--workload": "stall", "--seed": "4242", "--seconds": "30.0", "--trace": "1"}
 
 
 def test_record_bench_writes_nothing_after_a_wrong_answer(tmp_path, monkeypatch):

@@ -4,10 +4,12 @@
 Runs a checkout's own `perfbench/run.py`, unchanged, on every workload, once
 with `--trace 0` (end-to-end metrics) and once with `--trace 1` (per-layer
 metrics), and writes each run's JSON result line together with the Python
-version, the machine and its core count.  Fails without writing anything if
-a run exits with an error or reports a wrong answer.
+version, the machine and its core count.  Every run uses the same seed and
+run length, so the files of the trajectory compare with one another.  Fails
+without writing anything if a run exits with an error or reports a wrong
+answer.
 
-Usage: python tools/record_bench.py LABEL [--checkout DIR] [--seed N] [--seconds S]
+Usage: python tools/record_bench.py LABEL [--checkout DIR]
 
 LABEL names the change measured; the file BENCH_<LABEL>.json is written at
 the root of this repository.  The checkout defaults to this repository;
@@ -27,13 +29,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fixpoint", "minuet", "stall")
+SEED = 4242
+SECONDS = 30.0
 
 
-def run_once(checkout: Path, workload: str, trace: int, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, trace: int) -> dict:
     """One perfbench run; returns its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
@@ -57,8 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
     ap.add_argument("--checkout", type=Path, default=ROOT)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     runs = []
@@ -66,16 +67,15 @@ def main(argv: list[str] | None = None) -> int:
         for trace in (0, 1):
             print(f"{workload} --trace {trace} ...", flush=True)
             runs.append({"workload": workload, "trace": trace,
-                         "result": run_once(checkout, workload, trace, args.seed,
-                                            args.seconds)})
+                         "result": run_once(checkout, workload, trace)})
     record = {
         "label": args.label,
         "commit": commit_of(checkout),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cores": os.cpu_count(),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": SECONDS,
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.label}.json"
