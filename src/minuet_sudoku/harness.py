@@ -253,7 +253,7 @@ def validate_report(report: FailureReport,
         raise SelfCheckFailed(
             f"report oracle status {report.oracle_status} but verification says {wp.status}")
     if not wp.is_well_posed:
-        return  # ill-posed input: not a counterexample, nothing more to check
+        raise SelfCheckFailed(f"puzzle is not well-posed ({wp.status}): not a counterexample")
     truth = wp.solution
     residual = parse_grid(report.residual)
     for c in range(81):

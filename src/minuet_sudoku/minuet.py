@@ -408,13 +408,14 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     """Run the full method: Phase I, Step-3 fixpoint, then minuets until solved.
 
     Returns Solved (all 81 cells inked and consistent), ConjectureFailure
-    (every starter stuck on an unchanged base: the scientific payload), or
-    IllPosedDetected (a contradiction or an exhausted binary choice, which
-    sound rules only reach on inputs without a unique solution).
+    (every starter stuck on an unchanged base of a puzzle the oracle verified
+    as well-posed: the scientific payload), or IllPosedDetected (a
+    contradiction or an exhausted binary choice, which sound rules only reach
+    on inputs without a unique solution, or a stall on such an input).
 
     ``verdict`` is the oracle's verdict on this puzzle when the caller
-    already holds one; it only fills ``FailureReport.oracle_status``.
-    Without it, a conjecture failure runs the oracle itself.
+    already holds one; it is consulted only when the method stalls.  Without
+    it, a stall runs the oracle itself.
     """
     cfg = config or SolveConfig()
     grid = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle.copy()
@@ -428,6 +429,8 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
 
     def failure(reason: str) -> SolveOutcome:
         wp = verdict if verdict is not None else oracle.verify_well_posed(start)
+        if not wp.is_well_posed:
+            return ill_posed(f"{reason}; oracle says {wp.status}")
         report = FailureReport(
             puzzle=serialize_grid(start),
             residual=serialize_grid(grid),

@@ -16,30 +16,31 @@ the events its pass appended, and ``step1_fixpoint`` counts them per pass.
 
 Step 1 keeps asking which cells of a box are still open to a digit.  It
 answers from bitboards: 81-bit ints in which bit ``c`` stands for cell ``c``.
-Each ``step1_scan`` call builds a :class:`_Bitboards` from the grid in one
-pass, so grids and registries changed between calls are picked up.  A cell
-is closed to ``d`` by ink (the cell is inked, or its row or column holds a
-``d``) or by pencil (it lies on the line of a half double or claim group of
-``d`` without belonging to it, Rules 20 and 21, or a claim closes it to
-``d``).  The ink part is updated at every Phase-I ink.  The pencil part is
-computed per digit on demand and cached; a digit's entry is dropped when its
-half doubles change, and every entry when a claim is added.  The open cells
-of box ``bx`` are ``BOX & ~(inked | ink_lines[d] | pencil[d])``, read in
-ascending cell order so that finds come out in scan order.
+A cell is closed to ``d`` by ink (it is inked, or its row or column holds a
+``d``) or by pencil (Rules 20 and 21: it is on the line of a half double or
+claim group of ``d`` but not in it, or in a claim without ``d``).  Every pass
+of ``step1_fixpoint`` updates one :class:`_Bitboards` in place and rescans
+only the (digit, box) pairs whose open cells or half double changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
-from .grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF, STRUCT_BITS,
+from .grid import (ALL_DIGITS, BIT, BOX_OF, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCTURES,
                    STRUCTS_OF, ContradictionFound, Grid, Structure, block_group, mask_of,
-                   place_ink)
+                   place_ink, shared_structures)
 from .trace import TraceEvent
 
 
 CROSS_BITS = tuple(STRUCT_BITS[r] | STRUCT_BITS[k] for r, k, _ in STRUCTS_OF)
+BOX_BITS = STRUCT_BITS[18:]
+# Boxes crossed by each row and column, then by each cell's row and column.
+BOXES_OF = tuple(sum(1 << bx for bx in range(9) if bits & BOX_BITS[bx])
+                 for bits in STRUCT_BITS[:18] + CROSS_BITS)
+EVERY_DIGIT = tuple(sum(1 << 9 * d + bx for d in range(1, 10)) for bx in range(9))
 
 
 @dataclass(slots=True)
@@ -72,84 +73,96 @@ class HalfDoubleRegistry:
             self.claimed[c] = mask
 
 
-def _pencil_bits(registry: HalfDoubleRegistry, d: int) -> int:
-    """Cells closed to ``d`` by pencil marks: the rest of the row or column
-    holding a half double or claim group of ``d`` (Rules 20/21), and claimed
-    cells whose claim excludes ``d``."""
-    b = BIT[d]
-    groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
-    groups += [cells for cells, m in registry.claim_groups if m & b]
-    bits = 0
-    for cells in groups:
-        own = 0
-        for c in cells:
-            own |= 1 << c
-        line = STRUCT_BITS[ROW_OF[cells[0]]]
-        if own & ~line:
-            line = STRUCT_BITS[9 + COL_OF[cells[0]]]
-        if not own & ~line:
-            bits |= line & ~own
+@cache
+def _line_bits(cells: tuple[int, ...]) -> tuple[int, int]:
+    """Rest of the row or column holding all ``cells``, and its boxes, or (0, 0)."""
+    s = min(shared_structures(cells), default=18)
+    if s >= 18:
+        return 0, 0
+    return STRUCT_BITS[s] & ~sum(1 << c for c in cells), BOXES_OF[s]
+
+
+def _pencil_bits(registry: HalfDoubleRegistry) -> list[int]:
+    """Per digit, the cells pencil closes to it (Rules 20/21 and claims)."""
+    pencil = [0] * 10
+    for (_, d), pair in registry.entries.items():
+        pencil[d] |= _line_bits(pair)[0]
+    for cells, m in registry.claim_groups:
+        for d in DIGITS_OF[m]:
+            pencil[d] |= _line_bits(cells)[0]
     for c, m in registry.claimed.items():
-        if not m & b:
-            bits |= 1 << c
-    return bits
+        for d in DIGITS_OF[ALL_DIGITS & ~m]:
+            pencil[d] |= 1 << c
+    return pencil
 
 
 class _Bitboards:
-    """The grid and registry as seen by one Step-1 scan.
+    """Step 1's view of the grid and registry, updated in place by every ink
+    and registry change, which must go through the methods below.  ``inked``,
+    ``ink_lines[d]`` and ``pencil[d]`` hold the inked cells, the rows and
+    columns holding a ``d`` and the cells pencil closes to ``d``.  Pair masks
+    (bit ``9 * d + bx`` for digit ``d`` in box ``bx``) hold the pairs whose
+    box holds the digit (``held``) and those whose open cells or half double
+    changed since their last scan (``stale``, never held) or since the last
+    Rule-22 walk (``dirty``)."""
 
-    ``inked`` holds every inked cell; ``ink_lines[d]`` every cell in a row or
-    column that holds a ``d``; ``ink_boxes[d]`` bit ``bx`` when box ``bx``
-    holds a ``d``.  Inks and registry changes made during the scan must go
-    through the methods below, which keep these and the pencil cache current.
-    """
-
-    __slots__ = ("grid", "registry", "inked", "ink_lines", "ink_boxes", "pencil")
+    __slots__ = ("grid", "registry", "inked", "ink_lines", "pencil", "held", "stale",
+                 "dirty")
 
     def __init__(self, grid: Grid, registry: HalfDoubleRegistry):
-        self.grid = grid
-        self.registry = registry
-        self.inked = 0
-        self.ink_lines = [0] * 10
-        self.ink_boxes = [0] * 10
+        self.grid, self.registry = grid, registry
+        self.inked, self.held, self.ink_lines = 0, 0, [0] * 10
         for c, d in enumerate(grid.solved):
             if d:
                 self.inked |= 1 << c
                 self.ink_lines[d] |= CROSS_BITS[c]
-                self.ink_boxes[d] |= 1 << BOX_OF[c]
-        self.pencil: list[int | None] = [None] * 10
+                self.held |= 1 << 9 * d + BOX_OF[c]
+        self.pencil = _pencil_bits(registry)
+        self.stale = self.dirty = sum(EVERY_DIGIT)
 
-    def holds(self, bx: int, d: int) -> bool:
-        return bool(self.ink_boxes[d] >> bx & 1)
-
-    def closed(self, d: int) -> int:
-        pencil = self.pencil[d]
-        if pencil is None:
-            pencil = self.pencil[d] = _pencil_bits(self.registry, d)
-        return self.inked | self.ink_lines[d] | pencil
-
-    def open_cells(self, bx: int, d: int) -> int:
-        return STRUCT_BITS[18 + bx] & ~self.closed(d)
+    def _mark(self, pairs: int) -> None:
+        self.stale |= pairs & ~self.held
+        self.dirty |= pairs
 
     def ink(self, bx: int, cell: int, d: int, rule: str) -> TraceEvent:
         ev = place_ink(self.grid, cell, d, step="1.1", rule=rule,
-                       structure=Structure("box", bx))
+                       structure=STRUCTURES[18 + bx])
         self.inked |= 1 << cell
         self.ink_lines[d] |= CROSS_BITS[cell]
-        self.ink_boxes[d] |= 1 << BOX_OF[cell]
+        self.held |= 1 << 9 * d + bx
+        self._mark(EVERY_DIGIT[bx] | BOXES_OF[18 + cell] << 9 * d)
         return ev
 
     def record(self, bx: int, d: int, pair: tuple[int, int]) -> None:
+        self.forget(bx, d)
         self.registry.entries[(bx, d)] = pair
-        self.pencil[d] = None
+        bits, boxes = _line_bits(pair)
+        self.pencil[d] |= bits
+        self._mark(boxes << 9 * d)
 
     def forget(self, bx: int, d: int) -> None:
-        if self.registry.entries.pop((bx, d), None) is not None:
-            self.pencil[d] = None
+        # No mark: reopened cells cannot make a scan or Rule 22 find anything.
+        pair = self.registry.entries.pop((bx, d), None)
+        if pair and _line_bits(pair)[0] & ~self.ink_lines[d]:
+            self.pencil[d] = _pencil_bits(self.registry)[d]
 
-    def claim(self, cells: tuple[int, ...], mask: int) -> None:
-        self.registry.claim(cells, mask)
-        self.pencil = [None] * 10
+    def claim(self, bx: int, cells: tuple[int, ...], digits: tuple[int, ...], rule: str,
+              events: list) -> None:
+        """Pencil a hidden double or triple: strip every other digit from its
+        cells, close them to those digits (Rule 21), then apply Rule 22."""
+        masks, gm, erased = self.grid.masks, mask_of(digits), []
+        for c in cells:
+            for dx in DIGITS_OF[masks[c] & ~gm]:
+                masks[c] &= ~BIT[dx]
+                erased.append((c, dx))
+        self.registry.claim(cells, gm)
+        (bits, boxes), own = _line_bits(cells), sum(1 << c for c in cells)
+        for d in range(1, 10):
+            self.pencil[d] |= bits if gm & BIT[d] else own
+            self._mark((boxes | 1 << bx) << 9 * d)
+        events.append(TraceEvent("1.3", rule, structure=STRUCTURES[18 + bx],
+                                 cells=cells, digits=digits, erased=tuple(erased)))
+        _eager_rule22(self, events)
 
 
 def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
@@ -158,63 +171,45 @@ def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
     claimed double/triple, and not covered by a row/column that blocks ``d``."""
     if box.kind != "box":
         raise ValueError("available_cells scans boxes only")
-    bx = box.index
-    boards = _Bitboards(grid, registry)
-    if boards.holds(bx, d):
+    bx, boards = box.index, _Bitboards(grid, registry)
+    if boards.held >> 9 * d + bx & 1:
         raise ValueError(f"digit {d} is already inked in box {bx}")
-    open_bits = boards.open_cells(bx, d)
+    open_bits = BOX_BITS[bx] & ~(boards.inked | boards.ink_lines[d] | boards.pencil[d])
     return {c for c in CELLS_OF[18 + bx] if open_bits >> c & 1}
 
 
 def _eager_rule22(boards: _Bitboards, events: list) -> None:
-    """Rule 22, applied as soon as a half-double (or claimed) cell becomes
-    unavailable: the surviving cell and digit are a hidden single."""
+    """Rule 22, applied as soon as a half-double (or claimed) cell of a dirty
+    pair becomes unavailable: the surviving cell and digit are a hidden single."""
     grid, registry = boards.grid, boards.registry
     changed = True
     while changed:
         changed = False
         for (bx, d), (a, b) in list(registry.entries.items()):
-            if boards.holds(bx, d):
+            if not boards.dirty >> 9 * d + bx & 1:
+                continue
+            if boards.held >> 9 * d + bx & 1:
                 boards.forget(bx, d)
                 continue
-            closed = boards.closed(d)
-            a_ok = not closed >> a & 1
-            b_ok = not closed >> b & 1
+            closed = boards.inked | boards.ink_lines[d] | boards.pencil[d]
+            a_ok, b_ok = not closed >> a & 1, not closed >> b & 1
             if a_ok and b_ok:
                 continue
-            boards.forget(bx, d)
             if not a_ok and not b_ok:
-                raise ContradictionFound("starved", structure=Structure("box", bx), digit=d)
-            target = a if a_ok else b
-            events.append(boards.ink(bx, target, d, "passive single"))
+                raise ContradictionFound("starved", structure=STRUCTURES[18 + bx], digit=d)
+            events.append(boards.ink(bx, a if a_ok else b, d, "passive single"))
+            boards.forget(bx, d)
             changed = True
         for c in sorted(registry.claimed):
-            if grid.solved[c]:
+            if grid.solved[c] or not boards.dirty & EVERY_DIGIT[BOX_OF[c]]:
                 continue
             m = grid.masks[c]
             if not m:
                 raise ContradictionFound("empty_cell", cell=c)
             if not m & (m - 1):
-                d = DIGITS_OF[m][0]
-                events.append(boards.ink(BOX_OF[c], c, d, "passive single"))
+                events.append(boards.ink(BOX_OF[c], c, DIGITS_OF[m][0], "passive single"))
                 changed = True
-
-
-def _claim(boards: _Bitboards, bx: int, cells: tuple[int, ...], digits: tuple[int, ...],
-           rule: str, events: list) -> None:
-    """Pencil a hidden double or triple: strip every other digit from its
-    cells, close them to those digits (Rule 21), then apply Rule 22."""
-    masks = boards.grid.masks
-    gm = mask_of(digits)
-    erased = []
-    for c in cells:
-        for dx in DIGITS_OF[masks[c] & ~gm]:
-            masks[c] &= ~BIT[dx]
-            erased.append((c, dx))
-    boards.claim(cells, gm)
-    events.append(TraceEvent("1.3", rule, structure=Structure("box", bx),
-                             cells=cells, digits=digits, erased=tuple(erased)))
-    _eager_rule22(boards, events)
+    boards.dirty = 0
 
 
 def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
@@ -226,19 +221,48 @@ def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
         return
     for d2 in range(1, 10):
         if d2 != d and registry.entries.get((bx, d2)) == pair:
-            _claim(boards, bx, pair, tuple(sorted((d, d2))), "hidden double", events)
+            boards.claim(bx, pair, tuple(sorted((d, d2))), "hidden double", events)
             return
     if not triples_enabled:
         return
-    others = [(dd, p) for (bb, dd), p in registry.entries.items()
-              if bb == bx and dd != d]
+    others = [(dd, p) for (bb, dd), p in registry.entries.items() if bb == bx and dd != d]
     for (d2, p2), (d3, p3) in combinations(others, 2):
         spots = set(pair) | set(p2) | set(p3)
         if len(spots) != 3 or any(c in registry.claimed for c in spots):
             continue
-        _claim(boards, bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))),
-               "hidden triple", events)
+        boards.claim(bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))), "hidden triple",
+                     events)
         return
+
+
+def _pass(boards: _Bitboards, triples_enabled: bool, events: list) -> None:
+    """One Step-1 pass: scan the stale (digit, box) pairs in (digit 1..9) x
+    (box 0..8) order.  A pair marked stale behind the scan waits for the next."""
+    registry, ink_lines, pencil, pos = boards.registry, boards.ink_lines, boards.pencil, 0
+    while stale := boards.stale >> pos << pos:
+        low = stale & -stale
+        boards.stale ^= low
+        pos = low.bit_length()
+        d, bx = divmod(pos - 1, 9)
+        if boards.held & low:
+            boards.forget(bx, d)
+            continue
+        open_bits = BOX_BITS[bx] & ~(boards.inked | ink_lines[d] | pencil[d])
+        n = open_bits.bit_count()
+        if not n:
+            raise ContradictionFound("starved", structure=STRUCTURES[18 + bx], digit=d)
+        if n == 1:
+            events.append(boards.ink(bx, open_bits.bit_length() - 1, d, "hidden single"))
+            boards.forget(bx, d)
+            _eager_rule22(boards, events)
+        elif n == 2:
+            pair = ((open_bits & -open_bits).bit_length() - 1, open_bits.bit_length() - 1)
+            if registry.entries.get((bx, d)) == pair:
+                continue
+            boards.record(bx, d, pair)
+            events.append(TraceEvent("1.2", "half double", structure=STRUCTURES[18 + bx],
+                                     cells=pair, digits=(d,)))
+            _try_corollaries(boards, bx, d, pair, triples_enabled, events)
 
 
 def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool = False,
@@ -252,43 +276,19 @@ def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool =
     """
     events = trace if trace is not None else []
     start = len(events)
-    boards = _Bitboards(grid, registry)
-    for d in range(1, 10):
-        for bx in range(9):
-            if boards.holds(bx, d):
-                boards.forget(bx, d)
-                continue
-            open_bits = boards.open_cells(bx, d)
-            n = open_bits.bit_count()
-            if not n:
-                raise ContradictionFound("starved", structure=Structure("box", bx), digit=d)
-            if n == 1:
-                cell = open_bits.bit_length() - 1
-                boards.forget(bx, d)
-                events.append(boards.ink(bx, cell, d, "hidden single"))
-                _eager_rule22(boards, events)
-            elif n == 2:
-                pair = ((open_bits & -open_bits).bit_length() - 1, open_bits.bit_length() - 1)
-                if registry.entries.get((bx, d)) == pair:
-                    continue
-                boards.record(bx, d, pair)
-                events.append(TraceEvent("1.2", "half double",
-                                         structure=Structure("box", bx),
-                                         cells=pair, digits=(d,)))
-                _try_corollaries(boards, bx, d, pair, triples_enabled, events)
+    _pass(_Bitboards(grid, registry), triples_enabled, events)
     return events[start:]
 
 
 def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
                    triples_enabled: bool = False, *, trace: list | None = None) -> Phase1Run:
-    """Repeat step1_scan until a pass yields no new finds (usually 2-3 passes)."""
+    """Repeat Step-1 passes on one set of bitboards until a pass finds nothing."""
     events = trace if trace is not None else []
-    run = Phase1Run()
-    while True:
-        finds = step1_scan(grid, registry, triples_enabled, trace=events)
-        run.finds_per_pass.append(len(finds))
-        if not finds:
-            break
+    boards, run = _Bitboards(grid, registry), Phase1Run()
+    while not run.finds_per_pass or run.finds_per_pass[-1]:
+        start = len(events)
+        _pass(boards, triples_enabled, events)
+        run.finds_per_pass.append(len(events) - start)
     return run
 
 

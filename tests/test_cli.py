@@ -42,6 +42,13 @@ def test_solve_command_conjecture_failure_exit(capsys):
     assert "CONJECTURE FAILURE REPORT" in out
 
 
+def test_solve_command_stall_on_blank_grid_exits_ill_posed(capsys):
+    assert main(["solve", "." * 81]) == 3
+    out = capsys.readouterr().out
+    assert "ill-posed: no_starters; oracle says multiple_solutions" in out
+    assert "CONJECTURE FAILURE REPORT" not in out
+
+
 def test_verify_command(capsys):
     assert main(["verify", EASY]) == 0
     assert capsys.readouterr().out.strip() == "WellPosed"

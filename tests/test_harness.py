@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minuet_sudoku import (EmptyCorpus, SelfCheckFailed, Structure, batch_solve,
-                           brute_solve, confidence_upper_bound, detect_singles,
+from minuet_sudoku import (EmptyCorpus, FailureReport, SelfCheckFailed, Structure,
+                           batch_solve, brute_solve, confidence_upper_bound, detect_singles,
                            load_corpus, parse_grid, render_report, render_trace,
-                           serialize_grid, solve, validate_report)
+                           serialize_grid, solve, validate_report, verify_well_posed)
 from minuet_sudoku import harness, minuet
-from minuet_sudoku.grid import BIT, ConsistencyIssue, Grid
+from minuet_sudoku.grid import ALL_DIGITS, BIT, ConsistencyIssue, Grid
 from minuet_sudoku.harness import BatchStats
 
 from conftest import CORPORA, dig_minimal
@@ -379,3 +379,15 @@ def test_validate_report_catches_corruption():
     report.residual_candidates = tuple(corrupted)
     with pytest.raises(SelfCheckFailed):
         validate_report(report)
+
+
+def test_validate_report_rejects_a_puzzle_that_is_not_well_posed():
+    # a stall on the blank grid is no counterexample: it has many solutions
+    blank = "." * 81
+    report = FailureReport(puzzle=blank, residual=blank,
+                           residual_candidates=(ALL_DIGITS,) * 81, starters_tried=(),
+                           oracle_status="multiple_solutions", reason="no_starters")
+    with pytest.raises(SelfCheckFailed, match="not well-posed"):
+        validate_report(report)
+    with pytest.raises(SelfCheckFailed, match="not well-posed"):
+        validate_report(report, verify_well_posed(parse_grid(blank)))

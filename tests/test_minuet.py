@@ -441,10 +441,12 @@ def test_solve_commutes_with_isomorphs(hard_corpus):
 
 
 def test_solve_no_starters_reason_on_blank_grid():
+    # the method stalls without a starter, but the oracle finds many
+    # solutions: an ill-posed input, not a conjecture failure
     outcome = solve("." * 81)
-    assert outcome.status == "conjecture_failure"
-    assert outcome.reason == "no_starters"
-    assert outcome.report.oracle_status == "multiple_solutions"
+    assert outcome.status == "ill_posed"
+    assert outcome.reason == "no_starters; oracle says multiple_solutions"
+    assert outcome.report is None
 
 
 def test_solve_detects_unsolvable_grid():

@@ -1,14 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from minuet_sudoku import (ContradictionFound, HalfDoubleRegistry, Structure,
-                           available_cells, brute_solve, parse_grid,
-                           step1_fixpoint, step1_scan, step2_fill)
-from minuet_sudoku.grid import BIT, CELLS_OF, Grid
+                           available_cells, brute_solve, parse_grid, place_ink,
+                           serialize_grid, step1_fixpoint, step1_scan, step2_fill)
+from minuet_sudoku import phase1
+from minuet_sudoku.grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF,
+                                STRUCT_BITS, Grid, mask_of)
+from minuet_sudoku.trace import TraceEvent
 
-from conftest import random_full_grid
-from puzzles import EASY, HARD, MEDIUM
+from conftest import dig_minimal, random_full_grid
+from puzzles import EASY, HARD, MEDIUM, STALL, random_isomorph
 
 
 def grid_with(assignments: dict[int, int]) -> Grid:
@@ -225,3 +229,234 @@ def test_registry_entries_are_current_after_fixpoint():
     step1_fixpoint(g, registry)
     for (bx, d), pair in registry.entries.items():
         assert available_cells(g, registry, Structure("box", bx), d) == set(pair)
+
+
+# --- Step 1 as it ran before it kept its state across passes ---------------
+
+CROSS = [STRUCT_BITS[ROW_OF[c]] | STRUCT_BITS[9 + COL_OF[c]] for c in range(81)]
+BOXES = [Structure("box", bx) for bx in range(9)]
+
+
+def full_scan_pencil(registry: HalfDoubleRegistry, d: int) -> int:
+    """Cells closed to ``d`` by pencil marks, computed from the registry."""
+    groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
+    groups += [cells for cells, m in registry.claim_groups if m & BIT[d]]
+    bits = 0
+    for cells in groups:
+        own = sum(1 << c for c in cells)
+        for line in (STRUCT_BITS[ROW_OF[cells[0]]], STRUCT_BITS[9 + COL_OF[cells[0]]]):
+            if not own & ~line:
+                bits |= line & ~own
+                break
+    for c, m in registry.claimed.items():
+        if not m & BIT[d]:
+            bits |= 1 << c
+    return bits
+
+
+class FullScan:
+    """One pass's view of the grid: ink bitboards rebuilt from the grid at
+    the start of the pass, pencil bits recomputed at every query, and Rule 22
+    checking every half double after every change."""
+
+    def __init__(self, grid: Grid, registry: HalfDoubleRegistry, events: list):
+        self.grid, self.registry, self.events = grid, registry, events
+        self.inked, self.lines, self.boxes = 0, [0] * 10, [0] * 10
+        for c, d in enumerate(grid.solved):
+            if d:
+                self.note(c, d)
+
+    def note(self, c: int, d: int) -> None:
+        self.inked |= 1 << c
+        self.lines[d] |= CROSS[c]
+        self.boxes[d] |= 1 << BOX_OF[c]
+
+    def closed(self, d: int) -> int:
+        return self.inked | self.lines[d] | full_scan_pencil(self.registry, d)
+
+    def ink(self, bx: int, cell: int, d: int, rule: str) -> None:
+        self.events.append(place_ink(self.grid, cell, d, step="1.1", rule=rule,
+                                     structure=BOXES[bx]))
+        self.note(cell, d)
+
+    def rule22(self) -> None:
+        grid, registry = self.grid, self.registry
+        changed = True
+        while changed:
+            changed = False
+            for (bx, d), (a, b) in list(registry.entries.items()):
+                if self.boxes[d] >> bx & 1:
+                    registry.entries.pop((bx, d), None)
+                    continue
+                closed = self.closed(d)
+                a_ok, b_ok = not closed >> a & 1, not closed >> b & 1
+                if a_ok and b_ok:
+                    continue
+                registry.entries.pop((bx, d), None)
+                if not a_ok and not b_ok:
+                    raise ContradictionFound("starved", structure=BOXES[bx], digit=d)
+                self.ink(bx, a if a_ok else b, d, "passive single")
+                changed = True
+            for c in sorted(registry.claimed):
+                m = grid.masks[c]
+                if grid.solved[c]:
+                    continue
+                if not m:
+                    raise ContradictionFound("empty_cell", cell=c)
+                if not m & (m - 1):
+                    self.ink(BOX_OF[c], c, DIGITS_OF[m][0], "passive single")
+                    changed = True
+
+    def claim(self, bx: int, cells: tuple, digits: tuple, rule: str) -> None:
+        masks, gm, erased = self.grid.masks, mask_of(digits), []
+        for c in cells:
+            for dx in DIGITS_OF[masks[c] & ~gm]:
+                masks[c] &= ~BIT[dx]
+                erased.append((c, dx))
+        self.registry.claim(cells, gm)
+        self.events.append(TraceEvent("1.3", rule, structure=BOXES[bx], cells=cells,
+                                      digits=digits, erased=tuple(erased)))
+        self.rule22()
+
+    def corollaries(self, bx: int, d: int, pair: tuple, triples: bool) -> None:
+        registry = self.registry
+        if any(c in registry.claimed for c in pair):
+            return
+        for d2 in range(1, 10):
+            if d2 != d and registry.entries.get((bx, d2)) == pair:
+                self.claim(bx, pair, tuple(sorted((d, d2))), "hidden double")
+                return
+        others = [(dd, p) for (bb, dd), p in registry.entries.items()
+                  if bb == bx and dd != d]
+        for (d2, p2), (d3, p3) in combinations(others if triples else [], 2):
+            spots = set(pair) | set(p2) | set(p3)
+            if len(spots) == 3 and not any(c in registry.claimed for c in spots):
+                self.claim(bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))),
+                           "hidden triple")
+                return
+
+    def scan(self, triples: bool) -> None:
+        registry = self.registry
+        for d in range(1, 10):
+            for bx in range(9):
+                if self.boxes[d] >> bx & 1:
+                    registry.entries.pop((bx, d), None)
+                    continue
+                open_bits = STRUCT_BITS[18 + bx] & ~self.closed(d)
+                cells = [c for c in CELLS_OF[18 + bx] if open_bits >> c & 1]
+                if not cells:
+                    raise ContradictionFound("starved", structure=BOXES[bx], digit=d)
+                if len(cells) == 1:
+                    registry.entries.pop((bx, d), None)
+                    self.ink(bx, cells[0], d, "hidden single")
+                    self.rule22()
+                elif len(cells) == 2 and registry.entries.get((bx, d)) != tuple(cells):
+                    registry.entries[(bx, d)] = tuple(cells)
+                    self.events.append(TraceEvent("1.2", "half double", structure=BOXES[bx],
+                                                  cells=tuple(cells), digits=(d,)))
+                    self.corollaries(bx, d, tuple(cells), triples)
+
+
+def full_scan_fixpoint(grid: Grid, registry: HalfDoubleRegistry, triples: bool,
+                       events: list) -> list[int]:
+    """Step 1 with a fresh view per pass, every pass scanning all 81 (digit,
+    box) pairs until one finds nothing.  Returns the finds per pass."""
+    per_pass = []
+    while not per_pass or per_pass[-1]:
+        start = len(events)
+        FullScan(grid, registry, events).scan(triples)
+        per_pass.append(len(events) - start)
+    return per_pass
+
+
+def step1_inputs(full_corpus) -> list[str]:
+    """The corpus, seeded minimal puzzles, ``STALL`` isomorphs, and seeded
+    partial grids that mostly reach a contradiction."""
+    rng = random.Random(808)
+    partial = []
+    for _ in range(40):
+        g = Grid()
+        for c in rng.sample(range(81), rng.randrange(10, 30)):
+            if not g.solved[c] and g.masks[c]:
+                place_ink(g, c, rng.choice(DIGITS_OF[g.masks[c]]))
+        partial.append(serialize_grid(g))
+    return (full_corpus + [dig_minimal(random.Random(seed)) for seed in range(2000, 2100)]
+            + [random_isomorph(rng).apply(STALL) for _ in range(20)] + partial)
+
+
+@pytest.fixture(scope="module")
+def step1_puzzles(full_corpus):
+    return step1_inputs(full_corpus)
+
+
+def handwritten_registry(seed: int) -> HalfDoubleRegistry:
+    """Pencil marks written straight into a registry, as callers may: half
+    doubles anywhere in their box, and one claim whose masks were not stripped."""
+    rng, registry = random.Random(seed), HalfDoubleRegistry()
+    for _ in range(4):
+        bx = rng.randrange(9)
+        pair = tuple(sorted(rng.sample(CELLS_OF[18 + bx], 2)))
+        registry.entries[(bx, rng.randrange(1, 10))] = pair
+    bx = rng.randrange(9)
+    registry.claim(tuple(sorted(rng.sample(CELLS_OF[18 + bx], 2))),
+                   mask_of(rng.sample(range(1, 10), 2)))
+    return registry
+
+
+def run_step1(fixpoint, puzzle: str, triples: bool, seed: int | None = None):
+    """(events, finds per pass or the contradiction, grid, registry)."""
+    registry = HalfDoubleRegistry() if seed is None else handwritten_registry(seed)
+    grid, events = parse_grid(puzzle), []
+    try:
+        result = fixpoint(grid, registry, triples, events)
+    except ContradictionFound as e:
+        return events, str(e), grid.fingerprint(), None
+    return events, result, grid.fingerprint(), (registry.entries, registry.claim_groups)
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_step1_schedule_matches_full_scans(step1_puzzles, triples):
+    def kept(grid, registry, triples, events):
+        return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
+    contradicted = 0
+    for puzzle in step1_puzzles:
+        got = run_step1(kept, puzzle, triples)
+        assert got == run_step1(full_scan_fixpoint, puzzle, triples), puzzle
+        contradicted += isinstance(got[1], str)
+    assert 0 < contradicted < 40
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_step1_schedule_matches_full_scans_on_handwritten_registries(full_corpus, triples):
+    def kept(grid, registry, triples, events):
+        return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
+    for seed, puzzle in enumerate(full_corpus[::4]):
+        assert (run_step1(kept, puzzle, triples, seed)
+                == run_step1(full_scan_fixpoint, puzzle, triples, seed)), (seed, puzzle)
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_kept_bitboards_match_fresh_ones_after_every_pass(step1_puzzles, monkeypatch,
+                                                          triples):
+    def closed(boards, d):
+        return boards.inked | boards.ink_lines[d] | boards.pencil[d]
+
+    real_pass, checked = phase1._pass, []
+
+    def checked_pass(boards, triples_enabled, events):
+        real_pass(boards, triples_enabled, events)
+        fresh = phase1._Bitboards(boards.grid, boards.registry)
+        assert ([closed(boards, d) for d in range(1, 10)]
+                == [closed(fresh, d) for d in range(1, 10)])
+        assert boards.held == fresh.held
+        checked.append(1)
+
+    monkeypatch.setattr(phase1, "_pass", checked_pass)
+    runs = [(p, HalfDoubleRegistry()) for p in step1_puzzles]
+    runs += [(p, handwritten_registry(seed)) for seed, p in enumerate(step1_puzzles[:400:4])]
+    for puzzle, registry in runs:
+        try:
+            step1_fixpoint(parse_grid(puzzle), registry, triples)
+        except ContradictionFound:
+            pass
+    assert len(checked) > 3 * len(runs)
