@@ -103,8 +103,8 @@ class _Bitboards:
     columns holding a ``d`` and the cells pencil closes to ``d``.  Pair masks
     (bit ``9 * d + bx`` for digit ``d`` in box ``bx``) hold the pairs whose
     box holds the digit (``held``) and those whose open cells or half double
-    changed since their last scan (``stale``, never held) or since the last
-    Rule-22 walk (``dirty``)."""
+    changed since the last Rule-22 walk (``dirty``) or their last scan
+    (``stale``: every pair at first, later never a held one)."""
 
     __slots__ = ("grid", "registry", "inked", "ink_lines", "pencil", "held", "stale",
                  "dirty")

@@ -403,7 +403,18 @@ def handwritten_registry(seed: int) -> HalfDoubleRegistry:
     return registry
 
 
-def run_step1(fixpoint, puzzle: str, triples: bool, seed: int | None = None):
+def step1_runs(step1_puzzles) -> list[tuple[str, int | None]]:
+    """Every input with a fresh registry, then a quarter of the corpus with a
+    hand-written one (by seed), which exercises held and recomputed entries."""
+    return ([(p, None) for p in step1_puzzles]
+            + [(p, seed) for seed, p in enumerate(step1_puzzles[:400:4])])
+
+
+def kept_fixpoint(grid, registry, triples, events) -> list[int]:
+    return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
+
+
+def run_step1(fixpoint, puzzle: str, triples: bool, seed: int | None):
     """(events, finds per pass or the contradiction, grid, registry)."""
     registry = HalfDoubleRegistry() if seed is None else handwritten_registry(seed)
     grid, events = parse_grid(puzzle), []
@@ -416,23 +427,12 @@ def run_step1(fixpoint, puzzle: str, triples: bool, seed: int | None = None):
 
 @pytest.mark.parametrize("triples", [False, True])
 def test_step1_schedule_matches_full_scans(step1_puzzles, triples):
-    def kept(grid, registry, triples, events):
-        return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
-    contradicted = 0
-    for puzzle in step1_puzzles:
-        got = run_step1(kept, puzzle, triples)
-        assert got == run_step1(full_scan_fixpoint, puzzle, triples), puzzle
+    runs, contradicted = step1_runs(step1_puzzles), 0
+    for puzzle, seed in runs:
+        got = run_step1(kept_fixpoint, puzzle, triples, seed)
+        assert got == run_step1(full_scan_fixpoint, puzzle, triples, seed), (puzzle, seed)
         contradicted += isinstance(got[1], str)
-    assert 0 < contradicted < 40
-
-
-@pytest.mark.parametrize("triples", [False, True])
-def test_step1_schedule_matches_full_scans_on_handwritten_registries(full_corpus, triples):
-    def kept(grid, registry, triples, events):
-        return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
-    for seed, puzzle in enumerate(full_corpus[::4]):
-        assert (run_step1(kept, puzzle, triples, seed)
-                == run_step1(full_scan_fixpoint, puzzle, triples, seed)), (seed, puzzle)
+    assert 0 < contradicted < len(runs) // 4
 
 
 @pytest.mark.parametrize("triples", [False, True])
@@ -452,9 +452,9 @@ def test_kept_bitboards_match_fresh_ones_after_every_pass(step1_puzzles, monkeyp
         checked.append(1)
 
     monkeypatch.setattr(phase1, "_pass", checked_pass)
-    runs = [(p, HalfDoubleRegistry()) for p in step1_puzzles]
-    runs += [(p, handwritten_registry(seed)) for seed, p in enumerate(step1_puzzles[:400:4])]
-    for puzzle, registry in runs:
+    runs = step1_runs(step1_puzzles)
+    for puzzle, seed in runs:
+        registry = HalfDoubleRegistry() if seed is None else handwritten_registry(seed)
         try:
             step1_fixpoint(parse_grid(puzzle), registry, triples)
         except ContradictionFound:
