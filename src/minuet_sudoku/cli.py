@@ -23,59 +23,12 @@ EXIT_FAILURE = 2
 EXIT_ILL_POSED = 3
 
 TRACE_LEVELS = ("summary", "full")
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 
 
 def _read_puzzle(arg: str):
     """Accept an 81-char puzzle literal or a path to a file holding one."""
     text = Path(arg).read_text() if os.path.isfile(arg) else arg
     return parse_grid(text)
-
-
-def _trace_level(value: str) -> str:
-    if value not in TRACE_LEVELS:
-        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(TRACE_LEVELS)})")
-    return value
-
-
-def _boolean(value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise ValueError(f"invalid boolean {value!r} (choose from "
-                         f"{'/'.join(_BOOLEANS)}, any case)") from None
-
-
-def _config_file_defaults(path: str) -> dict:
-    """key=value lines mirroring the flags; '#' comments allowed.
-
-    Each value is checked as strictly as its flag: a bad one raises
-    ValueError naming the file, line and key.
-    """
-    mapping = {
-        "trace": ("trace", _trace_level),
-        "phase1-triples": ("phase1_triples", _boolean),
-        "jobs": ("jobs", int),
-        "level": ("level", float),
-        "report": ("report", str),
-    }
-    out = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in mapping:
-            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        dest, conv = mapping[key]
-        try:
-            out[dest] = conv(value)
-        except ValueError as e:
-            raise ValueError(f"{path}:{line_no}: {key}: {e}") from None
-    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one puzzle with the full method")
     p.add_argument("puzzle", help="81-char puzzle string or path to a file")
-    p.add_argument("--trace", choices=TRACE_LEVELS, default=None,
+    p.add_argument("--trace", choices=TRACE_LEVELS,
                    help="print the solve log at this verbosity")
-    p.add_argument("--phase1-triples", action="store_true", default=None,
+    p.add_argument("--phase1-triples", action="store_true",
                    help="also hunt hidden triples during Phase I")
-    p.add_argument("--config", default=None, help="key=value config file")
 
     p = sub.add_parser("verify", help="classify a puzzle's well-posedness")
     p.add_argument("puzzle")
@@ -112,16 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="file with one 81-char puzzle per line")
     p.add_argument("--report", default=None, metavar="DIR",
                    help="write counterexample reports into DIR")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--level", type=float, default=None,
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--level", type=float, default=0.90,
                    help="confidence level for the zero-failure bound")
-    p.add_argument("--config", default=None, help="key=value config file")
     return parser
 
 
 def cmd_solve(args) -> int:
     grid = _read_puzzle(args.puzzle)
-    cfg = SolveConfig(phase1_triples=bool(args.phase1_triples))
+    cfg = SolveConfig(phase1_triples=args.phase1_triples)
     outcome = solve(grid, cfg)
     if args.trace:
         print(render_trace(outcome.trace, args.trace))
@@ -163,9 +114,7 @@ def cmd_batch(args) -> int:
         return EXIT_USAGE
     for line_no, message in corpus.errors:
         print(f"{args.corpus}:{line_no}: {message}", file=sys.stderr)
-    result = batch_solve(corpus,
-                         jobs=1 if args.jobs is None else args.jobs,
-                         level=0.90 if args.level is None else args.level)
+    result = batch_solve(corpus, jobs=args.jobs, level=args.level)
     print(result.stats.render())
     for r in result.results:
         if r.status == "error":
@@ -190,13 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            for dest, value in _config_file_defaults(args.config).items():
-                if not hasattr(args, dest):
-                    raise ValueError(f"{args.config}: key {dest.replace('_', '-')!r} "
-                                     f"does not apply to {args.command!r}")
-                if getattr(args, dest) is None:
-                    setattr(args, dest, value)
         handler = {"solve": cmd_solve, "verify": cmd_verify,
                    "oracle": cmd_oracle, "batch": cmd_batch}[args.command]
         return handler(args)

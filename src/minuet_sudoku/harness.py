@@ -197,7 +197,8 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     (the conjecture quantifies over well-posed puzzles only), and so are
     entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
-    for any worker count.  Raises ValueError, before any solve, when ``jobs``
+    for any worker count.  At most ``jobs`` worker processes start, never more
+    than there are entries, and none for a single entry.  Raises ValueError, before any solve, when ``jobs``
     is below 1 or ``level`` lies outside (0, 1), and SelfCheckFailed when a
     well-posed entry's result fails its self-check.
     """
@@ -205,8 +206,9 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(corpus.entries))
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_run_entry, corpus.entries)
     else:
         results = [_run_entry(entry) for entry in corpus.entries]

@@ -4,15 +4,31 @@ prune the base grid (dance together), commit the survivor on contradiction,
 and retry with fresh starters until the puzzle yields.
 
 Each hypothesis view holds a full shadow grid: the explicit form of the
-over/under-dot markings.  A view only ever narrows the base, and exactly one
-of a starter's two choices is true, so the union of the two views' retained
-sets always contains the true digit of every cell.
+over/under-dot markings.  A view is developed once, when its starter is
+asserted (``init_hypotheses`` calls ``dance_alone``), and is then only read.
+Exactly one of a starter's two choices is true, so the union of the two
+views' retained sets always contains the true digit of every cell.
+
+Invariant: a live view narrows the base.  Every cell the base has solved is
+solved to the same digit in the view, and every digit the view retains in a
+cell the base retains too.  The view starts as a copy of the base and only
+loses candidates.  While the view is live, the base changes only in
+``dance_together``:
+
+- trick (a) narrows each base cell to the union of the two views' retained
+  candidates, and inks only a digit both views have inked;
+- the Step-3 cleanup that follows draws only finds that a live view at its
+  own Step-3 fixpoint has already drawn.  Restricted to a narrowing of the
+  base, a single or a naked or hidden group of the base is still a single or
+  a group, or leaves an empty cell or a starved digit, which Step 3 reports
+  as a contradiction.
+
+So a live view never needs to be brought up to date with the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import oracle
 from .grid import (BIT, DIGITS_OF, STRUCT_BITS, STRUCTURES, ContradictionFound, Grid,
@@ -91,7 +107,6 @@ class MinuetState:
 class SolveConfig:
     phase1_triples: bool = False
     round_cap: int = 81
-    monitor: Callable | None = None  # called as monitor(base, circle, square) after each dance_together
 
 
 @dataclass(slots=True)
@@ -189,72 +204,34 @@ def init_hypotheses(grid: Grid, starter: Starter,
     The base must be at a Step-3 fixpoint, as it is whenever ``solve()``
     dances a starter.  Then only the starter's cell and the peers its ink
     erased from differ from a fixpoint, so each view's Step 3 starts with
-    just their structures dirty.
+    just their structures dirty.  This is the only time a view is developed:
+    a live view stays a narrowing of the base (module docstring), so the
+    base's later changes never reach it.
     """
     events = trace if trace is not None else []
     state = MinuetState(starter,
                         HypothesisView("circle", grid.copy()),
                         HypothesisView("square", grid.copy()))
     for view, (cell, digit) in zip((state.circle, state.square), starter.choices()):
-        try:
-            ev = place_ink(view.shadow, cell, digit, step="4", rule="starter",
-                           view=view.label)
-            events.append(ev)
-            step3_fixpoint(view.shadow, trace=events, view=view.label,
-                           touched={cell, *(p for p, _ in ev.erased)})
-        except ContradictionFound as e:
-            view.status = "contradicted"
-            view.reason = e
+        ev = place_ink(view.shadow, cell, digit, step="4", rule="starter",
+                       view=view.label)
+        events.append(ev)
+        dance_alone(view, {cell, *(p for p, _ in ev.erased)}, events)
     return state
 
 
-def _sync_view(view: HypothesisView, base: Grid) -> set[int]:
-    """Narrow the shadow to the base (shadow(c) must stay a subset of base(c)).
-
-    Returns the set of cells whose shadow state changed.  Raises
-    ContradictionFound when the base no longer admits this hypothesis.
-    """
-    shadow = view.shadow
-    changed: set[int] = set()
-    for c in range(81):
-        bd = base.solved[c]
-        sd = shadow.solved[c]
-        if bd:
-            if sd == bd:
-                continue
-            if sd:
-                raise ContradictionFound("conflict", cell=c, digit=bd)
-            if not shadow.masks[c] & BIT[bd]:
-                raise ContradictionFound("empty_cell", cell=c, digit=bd)
-            ev = place_ink(shadow, c, bd, view=view.label)
-            changed.add(c)
-            changed.update(p for p, _ in ev.erased)
-        else:
-            if sd:
-                if not base.masks[c] & BIT[sd]:
-                    raise ContradictionFound("conflict", cell=c, digit=sd)
-                continue
-            nm = shadow.masks[c] & base.masks[c]
-            if nm != shadow.masks[c]:
-                if not nm:
-                    raise ContradictionFound("empty_cell", cell=c)
-                shadow.masks[c] = nm
-                changed.add(c)
-    return changed
-
-
-def dance_alone(view: HypothesisView, base: Grid,
+def dance_alone(view: HypothesisView, touched: set[int],
                 trace: list | None = None) -> HypothesisView:
-    """Sync the view with the base, then run a Step-3 fixpoint inside it.
+    """Develop a hypothesis: run a Step-3 fixpoint inside the view, starting
+    from the cells in ``touched`` (those changed since the shadow was last at
+    a fixpoint).  ``init_hypotheses`` calls it once per view; nothing later
+    needs to, since a live view stays a narrowing of the base (module
+    docstring) and the base's changes never reach it.
 
     A contradiction is captured in the view's status, never raised: it is a
     useful result (the other hypothesis must be true)."""
-    if not view.alive:
-        return view
-    events = trace if trace is not None else []
     try:
-        changed = _sync_view(view, base)
-        step3_fixpoint(view.shadow, trace=events, view=view.label, touched=changed)
+        step3_fixpoint(view.shadow, trace=trace, view=view.label, touched=touched)
     except ContradictionFound as e:
         view.status = "contradicted"
         view.reason = e
@@ -274,8 +251,7 @@ def _narrow(base: Grid, c: int, allowed: int, step: str, rule: str,
             raise ContradictionFound("empty_cell", cell=c)
 
 
-def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
-                   monitor: Callable | None = None) -> bool:
+def dance_together(state: MinuetState, base: Grid, trace: list | None = None) -> bool:
     """Joint eliminations from both views' markings; returns True if the base changed.
 
     Trick (a): a digit retained by neither view cannot be part of either
@@ -283,7 +259,10 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
     the same digit, that digit is inked.  Trick (b): a digit circled in one
     structure and squared in an overlapping structure is erased from the
     intersection (it would conflict with both dancers).  Changes are followed
-    by a Step-3 cleanup of the base and a re-sync of both views.
+    by a Step-3 cleanup of the base.  The views are left as they are: each
+    live view still narrows the base afterwards (module docstring), because
+    trick (a) keeps the union of their candidates and every Step-3 find on
+    the base is one both views have already drawn.
 
     Trick (b) needs no code of its own here, because trick (a) draws every
     one of its conclusions first.  Lemma: in a live shadow, a solved cell's
@@ -318,14 +297,9 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None,
             _narrow(base, c, circle.retained(c) | square.retained(c), "4a", "trick (a)",
                     events, touched)
 
-    changed = bool(touched)
-    if changed:
+    if touched:
         step3_fixpoint(base, trace=events, touched=touched)
-        dance_alone(circle, base, events)
-        dance_alone(square, base, events)
-    if monitor is not None:
-        monitor(base, circle, square)
-    return changed
+    return bool(touched)
 
 
 def commit_retained(state: MinuetState, base: Grid,
@@ -367,34 +341,34 @@ def _adopt(view: HypothesisView, base: Grid, events: list) -> None:
 
 
 def run_minuet(base: Grid, starter: Starter, round_cap: int = 81,
-               *, trace: list | None = None,
-               monitor: Callable | None = None) -> tuple[str, MinuetState]:
+               *, trace: list | None = None) -> tuple[str, MinuetState]:
     """Dance one starter to completion, contradiction-commit, or a stall.
 
     Returns ("solved" | "progress" | "stuck", state).  "stuck" with an
     unchanged base means this starter cannot help right now; all markings
     (the views) are simply discarded.
+
+    The views are developed once, by ``init_hypotheses``; a round only reads
+    them.  The base changes only inside ``dance_together``, and a round
+    checks for a complete base right after that call, so the base a round
+    starts from is never complete.
     """
     events = trace if trace is not None else []
     state = init_hypotheses(base, starter, events)
     changed_total = False
     for _ in range(round_cap):
         state.rounds += 1
-        dance_alone(state.circle, base, events)
-        dance_alone(state.square, base, events)
         c_alive, s_alive = state.circle.alive, state.square.alive
         if not c_alive and not s_alive:
             raise BothContradicted(starter.describe())
         if c_alive != s_alive:
             commit_retained(state, base, events)
             return "progress", state
-        if base.is_complete():
-            return "solved", state
         for view in (state.circle, state.square):
             if view.shadow.is_complete():
                 _adopt(view, base, events)
                 return "solved", state
-        changed = dance_together(state, base, events, monitor)
+        changed = dance_together(state, base, events)
         changed_total |= changed
         if changed and base.is_complete():
             return "solved", state
@@ -462,8 +436,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             starters_tried.append(starter.describe())
             stats.starters_danced += 1
             try:
-                outcome, state = run_minuet(grid, starter, cfg.round_cap,
-                                            trace=trace, monitor=cfg.monitor)
+                outcome, state = run_minuet(grid, starter, cfg.round_cap, trace=trace)
             except BothContradicted:
                 return ill_posed("both hypotheses contradicted: no solution exists")
             except ContradictionFound as e:

@@ -28,10 +28,6 @@ class TraceEvent:
     inked: tuple[tuple[int, int], ...] = ()
     erased: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.inked or self.erased)
-
 
 def replay_trace(grid: "Grid", events: Iterable[TraceEvent]) -> "Grid":
     """Re-apply the ink/erase deltas of all base-grid events, in order.

@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from minuet_sudoku import (HalfDoubleRegistry, NoStarters, SolveConfig,
+from minuet_sudoku import (HalfDoubleRegistry, NoStarters,
                            commit_retained, confidence_upper_bound,
-                           dance_alone, dance_together, enumerate_starters,
+                           dance_together, enumerate_starters,
                            init_hypotheses, parse_grid, replay_trace,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, verify_well_posed)
-from minuet_sudoku import oracle
+from minuet_sudoku import minuet, oracle
 from minuet_sudoku.grid import BIT, Grid
 from minuet_sudoku.harness import batch_solve, load_corpus
 
@@ -88,8 +88,6 @@ def _one_dance(g: Grid) -> None:
     except NoStarters:
         return
     state = init_hypotheses(g, starter)
-    dance_alone(state.circle, g)
-    dance_alone(state.square, g)
     if not state.circle.alive and not state.square.alive:
         raise AssertionError("both hypotheses contradicted on a solvable position")
     if state.circle.alive != state.square.alive:
@@ -158,35 +156,44 @@ def test_criterion_6_guard_equivalence(full_corpus):
           f"on {len(full_corpus)} puzzles")
 
 
-def test_criterion_7_union_soundness(hard_corpus, solutions):
+def test_criterion_7_union_soundness(hard_corpus, solutions, monkeypatch):
     checks = [0]
+    truth = [None]
+    real_dance_together = minuet.dance_together
 
-    def run_one(puzzle):
-        truth = solutions[puzzle]
+    def dance_together(state, base, *args, **kwargs):
+        changed = real_dance_together(state, base, *args, **kwargs)
+        circle, square = state.circle, state.square
+        if not (circle.alive and square.alive):
+            return changed
+        for c in range(81):
+            if base.solved[c]:
+                for view in (circle, square):
+                    assert view.shadow.solved[c] == base.solved[c], (
+                        f"{view.label} view disagrees with the base at cell {c}")
+                continue
+            true_d = int(truth[0][c])
+            assert (circle.retained(c) | square.retained(c)) & BIT[true_d], (
+                f"true digit {true_d} of cell {c} escaped both views")
+            for view in (circle, square):
+                assert view.retained(c) & ~base.masks[c] == 0, (
+                    f"{view.label} view keeps a digit the base lost at cell {c}")
+        checks[0] += 1
+        return changed
 
-        def monitor(base, circle, square):
-            if not (circle.alive and square.alive):
-                return
-            for c in range(81):
-                if base.solved[c]:
-                    continue
-                true_d = int(truth[c])
-                assert (circle.retained(c) | square.retained(c)) & BIT[true_d], (
-                    f"true digit {true_d} of cell {c} escaped both views on {puzzle}")
-            checks[0] += 1
-
-        outcome = solve(puzzle, SolveConfig(monitor=monitor))
-        assert outcome.status == "solved"
-
+    monkeypatch.setattr(minuet, "dance_together", dance_together)
     reached_step4 = 0
     for puzzle in hard_corpus:
+        truth[0] = solutions[puzzle]
         before = checks[0]
-        run_one(puzzle)
+        outcome = solve(puzzle)
+        assert outcome.status == "solved", puzzle
         if checks[0] > before:
             reached_step4 += 1
     assert checks[0] > 0
-    print(f"\nACCEPTANCE 7 PASS - union soundness held at {checks[0]} "
-          f"dance-together checkpoints across {reached_step4} puzzles")
+    print(f"\nACCEPTANCE 7 PASS - union soundness and live views narrowing the "
+          f"base held at {checks[0]} dance-together checkpoints across "
+          f"{reached_step4} puzzles")
 
 
 def test_criterion_8_sixteen_given_fast_path(solutions, monkeypatch):

@@ -13,10 +13,22 @@ def test_solve_command_prints_solution(capsys):
     assert "solved:" in out
 
 
-def test_solve_command_with_trace(capsys):
-    assert main(["solve", EASY, "--trace", "summary"]) == 0
+@pytest.mark.parametrize("level", ["summary", "full"])
+def test_solve_command_with_trace(capsys, level):
+    assert main(["solve", EASY, "--trace", level]) == 0
     out = capsys.readouterr().out
-    assert "trace:" in out and "hidden single" in out
+    assert out.startswith("trace:") and "hidden single" in out
+    assert (" at r" in out) == (level == "full")  # only full lists the cells of each event
+
+
+@pytest.mark.parametrize("flags,expected", [([], False), (["--phase1-triples"], True)])
+def test_solve_command_phase1_triples_reaches_solve(monkeypatch, flags, expected):
+    configs = []
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve",
+                        lambda grid, cfg=None: configs.append(cfg) or real_solve(grid, cfg))
+    assert main(["solve", EASY, *flags]) == 0
+    assert [c.phase1_triples for c in configs] == [expected]
 
 
 def test_solve_command_from_file(tmp_path, capsys):
@@ -102,56 +114,6 @@ def test_batch_command_empty_corpus(tmp_path, capsys):
     assert main(["batch", str(corpus)]) == 1
 
 
-def test_config_file_supplies_defaults(tmp_path, capsys):
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text("trace = summary  # verbosity\nphase1-triples = yes\n")
-    assert main(["solve", EASY, "--config", str(cfg)]) == 0
-    assert "trace:" in capsys.readouterr().out
-
-
-def test_config_file_bad_key(tmp_path, capsys):
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert main(["solve", EASY, "--config", str(cfg)]) == 1
-
-
-@pytest.mark.parametrize("line", ["trace = bogus", "trace = Full", "trace =",
-                                  "phase1-triples = maybe", "phase1-triples = 2",
-                                  "phase1-triples ="])
-def test_config_file_bad_value_exits_one_before_solving(tmp_path, capsys, monkeypatch, line):
-    calls = []
-    monkeypatch.setattr(cli, "solve", lambda grid, cfg=None: calls.append(grid))
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text(line + "\n")
-    assert main(["solve", EASY, "--config", str(cfg)]) == 1
-    assert f"{cfg}:1: {line.split(' =')[0]}: invalid" in capsys.readouterr().err
-    assert calls == []
-
-
-@pytest.mark.parametrize("value,expected", [("1", True), ("TRUE", True), ("Yes", True),
-                                            ("on", True), ("0", False), ("False", False),
-                                            ("NO", False), ("Off", False)])
-def test_config_file_phase1_triples_words(tmp_path, monkeypatch, value, expected):
-    configs = []
-    real_solve = cli.solve
-    monkeypatch.setattr(cli, "solve",
-                        lambda grid, cfg=None: configs.append(cfg) or real_solve(grid, cfg))
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text(f"phase1-triples = {value}\n")
-    assert main(["solve", EASY, "--config", str(cfg)]) == 0
-    assert [c.phase1_triples for c in configs] == [expected]
-
-
-@pytest.mark.parametrize("level", ["summary", "full"])
-def test_config_file_trace_levels(tmp_path, capsys, level):
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text(f"trace = {level}\n")
-    assert main(["solve", EASY, "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("trace:")
-    assert (" at r" in out) == (level == "full")  # only full lists the cells of each event
-
-
 def test_usage_errors_exit_one_not_two(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{EASY}\n")
@@ -159,22 +121,9 @@ def test_usage_errors_exit_one_not_two(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert main(["batch", str(corpus), "--jobs", "abc"]) == 1
     assert "invalid int value" in capsys.readouterr().err
+    assert main(["solve", EASY, "--trace", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert main([]) == 1
-
-
-@pytest.mark.parametrize("command,line", [("batch", "phase1-triples = yes"),
-                                          ("batch", "trace = full"),
-                                          ("solve", "jobs = 2")])
-def test_config_key_the_command_does_not_take_exits_one(tmp_path, capsys,
-                                                        command, line):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(f"{EASY}\n")
-    cfg = tmp_path / "minuet.cfg"
-    cfg.write_text(line + "\n")
-    target = str(corpus) if command == "batch" else EASY
-    assert main([command, target, "--config", str(cfg)]) == 1
-    key = line.split(" = ")[0]
-    assert f"key {key!r} does not apply to {command!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--level", "0")])

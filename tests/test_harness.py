@@ -96,9 +96,9 @@ def test_batch_aborts_on_oracle_mismatch(tmp_path, monkeypatch):
         return outcome
 
     monkeypatch.setattr(harness, "solve", sabotaged)
-    for jobs in (1, 2):
+    for jobs in (1, 2):  # two entries, so jobs=2 runs in worker processes
         with pytest.raises(SelfCheckFailed):
-            batch_solve(small_corpus(tmp_path, [EASY]), jobs=jobs)
+            batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -280,6 +280,37 @@ def test_batch_rejects_bad_arguments_before_any_solve(tmp_path, monkeypatch, kwa
     with pytest.raises(ValueError):
         batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), **kwargs)
     assert calls == []
+
+
+@pytest.mark.parametrize("jobs,lines,expected", [
+    (500, [EASY, MEDIUM], [2]),
+    (2, [EASY, MEDIUM, HARD], [2]),
+    (500, [EASY], []),
+])
+def test_batch_starts_no_more_workers_than_entries(tmp_path, monkeypatch, jobs, lines,
+                                                   expected):
+    sizes = []
+
+    class FakePool:
+        """Stands in for ``multiprocessing.Pool``: records the size asked for
+        and maps in this process, so no worker is ever started."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(harness, "Pool", FakePool)
+    result = batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
+    assert sizes == expected
+    assert result.stats.solved == len(lines)
 
 
 def test_batch_reports_are_deterministic(tmp_path):

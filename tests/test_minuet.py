@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minuet_sudoku import (BothContradicted,
-                           HalfDoubleRegistry, NoStarters, SolveConfig, Starter,
+                           HalfDoubleRegistry, NoStarters, Starter,
                            brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
@@ -165,31 +165,47 @@ def test_half_double_starter_places_digit_in_each_cell():
         assert state.square.shadow.solved[b] == d
 
 
+def assert_live_views_narrow(base: Grid, state: MinuetState) -> None:
+    """The invariant that lets a view be developed once: every live view's
+    solved cells agree with the base, and it retains no digit the base lost."""
+    for view in (state.circle, state.square):
+        if not view.alive:
+            continue
+        for c in range(81):
+            if base.solved[c]:
+                assert view.shadow.solved[c] == base.solved[c]
+            base_mask = BIT[base.solved[c]] if base.solved[c] else base.masks[c]
+            assert view.retained(c) & ~base_mask == 0
+
+
 def test_views_only_narrow_the_base():
     g = at_fixpoint(STALL)
     state = two_view_state(g, enumerate_starters(g)[0])
-    for view in (state.circle, state.square):
-        for c in range(81):
-            base_mask = BIT[g.solved[c]] if g.solved[c] else g.masks[c]
-            assert view.retained(c) & ~base_mask == 0
+    assert_live_views_narrow(g, state)
 
 
 def test_dance_alone_is_noop_at_fixpoint():
     g = at_fixpoint(STALL)
     state = two_view_state(g, enumerate_starters(g)[0])
     snap = state.circle.shadow.fingerprint()
-    dance_alone(state.circle, g)
+    events = []
+    dance_alone(state.circle, set(), events)
+    assert events == []
+    assert state.circle.alive
     assert state.circle.shadow.fingerprint() == snap
 
 
-def test_dance_alone_contradicts_when_base_kills_last_candidate():
-    base = Grid()
+def test_dance_alone_records_a_step3_contradiction():
+    # cells 0 and 1 may only hold 4, so a naked single inks 4 at cell 0 and
+    # Rule 19 empties cell 1: the view is contradicted, and nothing is raised
     view = HypothesisView("circle", Grid())
-    view.shadow.masks[0] = BIT[4]
-    base.masks[0] = mask_of({5, 6})
-    dance_alone(view, base)
+    view.shadow.masks[0] = view.shadow.masks[1] = BIT[4]
+    events = []
+    dance_alone(view, {0, 1}, events)
     assert view.status == "contradicted"
-    assert view.reason.kind == "empty_cell"
+    assert view.reason.kind == "empty_cell" and view.reason.cell == 1
+    assert [(ev.step, ev.rule, ev.view, ev.inked) for ev in events] == [
+        ("3.1", "naked single", "circle", ((0, 4),))]
 
 
 def test_true_choice_view_never_contradicts():
@@ -241,13 +257,17 @@ def test_double_blocked_candidate_is_erased_from_intersection():
     assert 4 not in base.candidates(0)  # row 0 meets column 0 at cell 0
 
 
-def test_trick_b_lemma_holds_on_dug_puzzles():
+def test_trick_b_lemma_holds_on_dug_puzzles(monkeypatch):
     # the lemma dance_together relies on to leave trick (b) to trick (a):
-    # in a live view, no peer of a solved cell keeps or inks its digit
+    # in a live view, no peer of a solved cell keeps or inks its digit; and
+    # the invariant that lets views be developed once: each live view still
+    # narrows the base after the joint eliminations
     checked = []
+    real_dance_together = minuet.dance_together
 
-    def monitor(base, circle, square):
-        for view in (circle, square):
+    def dance_together(state, base, *args, **kwargs):
+        changed = real_dance_together(state, base, *args, **kwargs)
+        for view in (state.circle, state.square):
             if not view.alive:
                 continue
             shadow = view.shadow
@@ -257,12 +277,14 @@ def test_trick_b_lemma_holds_on_dug_puzzles():
                     for p in PEERS[c]:
                         assert shadow.solved[p] != d
                         assert not shadow.masks[p] & BIT[d]
+        assert_live_views_narrow(base, state)
         checked.append(1)
+        return changed
 
-    cfg = SolveConfig(monitor=monitor)
+    monkeypatch.setattr(minuet, "dance_together", dance_together)
     for seed in range(80):
         puzzle = dig_minimal(random.Random(seed))
-        outcome = solve(puzzle, cfg)
+        outcome = solve(puzzle)
         if outcome.status == "solved":
             assert outcome.grid.solved == brute_solve(parse_grid(puzzle)).solved
         else:
@@ -293,11 +315,15 @@ def test_commits_count_only_minuets_that_commit(monkeypatch):
     assert outcome.stats.commits == len(commits) == 2
 
 
-def test_union_soundness_on_fixture_puzzles():
+def test_union_soundness_on_fixture_puzzles(monkeypatch):
+    real_dance_together = minuet.dance_together
     for puzzle, solution in ((HARD, HARD_SOLUTION), (TRICKY, TRICKY_SOLUTION)):
         checked = []
 
-        def monitor(base, circle, square, solution=solution, checked=checked):
+        def dance_together(state, base, *args, solution=solution, checked=checked,
+                           **kwargs):
+            changed = real_dance_together(state, base, *args, **kwargs)
+            circle, square = state.circle, state.square
             for c in range(81):
                 true_d = int(solution[c])
                 if base.solved[c]:
@@ -306,11 +332,13 @@ def test_union_soundness_on_fixture_puzzles():
                 if circle.alive and square.alive:
                     assert (circle.retained(c) | square.retained(c)) & BIT[true_d]
             checked.append(1)
+            return changed
 
-        outcome = solve(puzzle, SolveConfig(monitor=monitor))
+        monkeypatch.setattr(minuet, "dance_together", dance_together)
+        outcome = solve(puzzle)
         assert outcome.status == "solved"
         if puzzle is TRICKY:
-            assert checked  # joint eliminations ran here, so the monitor fired
+            assert checked  # joint eliminations ran here, so the check ran
 
 
 # --- commit and run --------------------------------------------------------
