@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import oracle
 from .grid import (GridError, InconsistentGivens, parse_grid, serialize_grid)
-from .harness import (EmptyCorpus, batch_solve, load_corpus, render_report,
-                      render_trace)
+from .harness import (EmptyCorpus, batch_solve, check_batch_options, load_corpus,
+                      render_report, render_trace)
 from .minuet import SolveConfig, solve
 
 EXIT_OK = 0
@@ -107,6 +107,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    check_batch_options(args.jobs, args.level)
     try:
         corpus = load_corpus(args.corpus)
     except EmptyCorpus as e:

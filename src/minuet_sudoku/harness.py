@@ -190,6 +190,14 @@ class BatchResult:
     reports: list[tuple[int, FailureReport]] = field(default_factory=list)
 
 
+def check_batch_options(jobs: int, level: float) -> None:
+    """Raise ValueError when ``jobs`` is below 1 or ``level`` lies outside (0, 1)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> BatchResult:
     """Solve every corpus entry, oracle-check each result, aggregate stats.
 
@@ -198,14 +206,12 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
     for any worker count.  At most ``jobs`` worker processes start, never more
-    than there are entries, and none for a single entry.  Raises ValueError, before any solve, when ``jobs``
-    is below 1 or ``level`` lies outside (0, 1), and SelfCheckFailed when a
-    well-posed entry's result fails its self-check.
+    than there are entries, and none for a single entry.  Raises ValueError,
+    before any solve, when ``check_batch_options`` rejects ``jobs`` or
+    ``level``, and SelfCheckFailed when a well-posed entry's result fails its
+    self-check.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_batch_options(jobs, level)
     workers = min(jobs, len(corpus.entries))
     if workers > 1:
         with Pool(workers) as pool:

@@ -29,11 +29,12 @@ So a live view never needs to be brought up to date with the base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
-from .grid import (BIT, DIGITS_OF, STRUCT_BITS, STRUCTURES, ContradictionFound, Grid,
-                   Structure, cells_at, check_consistency, digit_positions, parse_grid,
-                   place_ink, serialize_grid, shared_structures)
+from .grid import (BIT, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTURES,
+                   ContradictionFound, Grid, Structure, cells_at, check_consistency,
+                   digit_positions, parse_grid, place_ink, serialize_grid)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
 from .phase2 import step3_fixpoint
 from .trace import TraceEvent
@@ -51,8 +52,7 @@ class InconsistentSolution(RuntimeError):
     """``solve()`` completed a grid that breaks the rules: a deduction rule is unsound."""
 
 
-@dataclass(frozen=True, slots=True)
-class Starter:
+class Starter(NamedTuple):
     kind: str  # "bivalue" | "half_double"
     cells: tuple[int, ...]
     digits: tuple[int, ...]
@@ -163,22 +163,25 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
     Half doubles are the two-bit entries of the structures' position tables.
     Score = number of bivalue cells in the union of the starter's covering
     structures (footnote-8 heuristic): the bivalue board ANDed with the
-    cover, on 81-bit boards.  Ties break by ascending cell index, then
-    ascending digit.  Raises NoStarters when none exist.
+    cover, on 81-bit boards.  The covering structures are a 27-bit set: a
+    cell's three, or the ones a half double's two cells share.  Ties break by
+    ascending cell index, then ascending digit.  Raises NoStarters when none
+    exist.
     """
     masks = grid.masks
     bivalue = [c for c in range(81)
                if not grid.solved[c] and masks[c].bit_count() == 2]
     board = sum(1 << c for c in bivalue)
 
-    def score(cells: tuple[int, ...]) -> int:
+    def score(shared: int) -> int:
         cover = 0
-        for s in shared_structures(cells):
-            cover |= STRUCT_BITS[s]
+        while shared:
+            cover |= STRUCT_BITS[(shared & -shared).bit_length() - 1]
+            shared &= shared - 1
         return (board & cover).bit_count()
 
-    starters = [Starter("bivalue", (c,), DIGITS_OF[masks[c]], None, score((c,)))
-                for c in bivalue]
+    starters = [Starter("bivalue", (c,), DIGITS_OF[masks[c]], None,
+                        score(STRUCT_SET_OF[c])) for c in bivalue]
     seen: set[tuple[tuple[int, ...], int]] = set()
     for s in range(27):
         pos = digit_positions(masks, s)
@@ -188,8 +191,9 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
             cells = cells_at(s, pos[d])
             if (cells, d) not in seen:
                 seen.add((cells, d))
+                a, b = cells
                 starters.append(Starter("half_double", cells, (d,), STRUCTURES[s],
-                                        score(cells)))
+                                        score(STRUCT_SET_OF[a] & STRUCT_SET_OF[b])))
     if not starters:
         raise NoStarters("no bivalue cell and no half double at this fixpoint")
     starters.sort(key=lambda st: (-st.score, min(st.cells), st.digits[0],

@@ -1,13 +1,14 @@
 """Basic cleanup: scan all 27 structures for naked/hidden singles, doubles and
 triples, apply the blocking-rule cleanups after each find, iterate to fixpoint.
 
-Each scan of a structure reads its cells' candidate masks and a position
-table built fresh from them (``grid.digit_positions``, no state kept between
-scans): entry ``d`` has bit ``i`` set when ``d`` is a candidate of the
-structure's ``i``-th cell.  A hidden single is a one-bit entry and a starved
-digit a zero one.  A naked group is ``k`` cells whose masks span ``k``
-digits, a hidden group ``k`` digits whose positions span ``k`` cells, so one
-finder (``_groups``) serves both kinds and both sizes.
+A scan keeps no state between calls.  The singles scan makes one pass over
+a structure's cells: it finds empty cells and naked singles and ORs the
+masks into ``seen`` and ``twice`` (digits with one place or more, two or
+more), so a digit neither inked nor in ``twice`` is starved or a hidden
+single.  A naked group is ``k`` cells whose masks span ``k`` digits, a
+hidden group ``k`` digits whose positions (``grid.digit_positions``) span
+``k`` cells.  The group scan builds the position table only once no naked
+group erased anything, and reuses it until a cleanup erases.
 
 Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
 cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
@@ -69,14 +70,19 @@ def _ink(grid, cell, digit, step, rule, s, events, view, touched) -> None:
 
 def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
                   touched: set) -> None:
+    """Ink singles until none is left: an empty cell raises first, then the
+    lowest naked single is inked, else the lowest digit that is starved
+    (raises) or a hidden single (inked)."""
     cells = CELLS_OF[s]
     masks = grid.masks
     solved = grid.solved
     while True:
-        inked_mask = 0
+        inked_mask = seen = twice = 0
         naked = None
         for c in cells:
             m = masks[c]
+            twice |= seen & m
+            seen |= m
             if solved[c]:
                 inked_mask |= BIT[solved[c]]
             elif not m:
@@ -87,61 +93,61 @@ def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
             d = DIGITS_OF[masks[naked]][0]
             _ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
             continue
-        pos = digit_positions(masks, s)
-        for d in DIGITS_OF[ALL_DIGITS & ~inked_mask]:
-            p = pos[d]
-            if not p:
-                raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
-            if not p & (p - 1):
-                c = cells[p.bit_length() - 1]
-                _ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
-                break
-        else:
+        lone = ALL_DIGITS & ~(inked_mask | twice)  # starved or hidden single
+        if not lone:
             return
+        b = lone & -lone
+        d = b.bit_length()
+        if not seen & b:
+            raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
+        c = next(c for c in cells if masks[c] & b)
+        _ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
 
 
-def _groups(items: list[tuple[int, int]], k: int):
-    """Each k-subset of ``(key, mask)`` items, in ``combinations`` order,
-    whose masks have 2..k bits each and exactly k bits together: yields the
-    subset's keys and the union of its masks."""
-    small = [item for item in items if 2 <= item[1].bit_count() <= k]
-    for group in combinations(small, k):
-        union = 0
-        for _, m in group:
-            union |= m
-        if union.bit_count() == k:
-            yield tuple(key for key, _ in group), union
-
-
-def _candidate_groups(masks: list[int], s: int, unsolved: list[int], k: int):
-    """Naked groups of size ``k`` in structure ``s``, then hidden ones, as
-    (kind, cells, digits, group mask).  The position table is read only once
-    every naked group has been offered."""
-    for group, union in _groups([(c, masks[c]) for c in unsolved], k):
-        yield "naked", group, DIGITS_OF[union], union
-    pos = digit_positions(masks, s)
-    for digits, union in _groups([(d, pos[d]) for d in range(1, 10)], k):
-        yield "hidden", cells_at(s, union), digits, mask_of(digits)
-
-
-def _scan_groups(grid: Grid, s: int, k: int, events: list, view: str | None,
-                 touched: set, use_guards: bool) -> None:
-    """Clean up (Rule 21) the first group whose cleanup erases something,
-    log it, and look again, until no group erases anything."""
+def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
+                 view: str | None, touched: set, use_guards: bool) -> None:
+    """For each size ``k`` in turn, clean up (Rule 21) the first group whose
+    cleanup erases something, log it, and look again, until no group erases
+    anything.  Groups come in ``combinations`` order of the cells (naked),
+    then of the digits (hidden), with 2..k candidates or positions each and
+    k together.  A position table is reused until a cleanup erases."""
+    masks = grid.masks
     unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
-    if use_guards and len(unsolved) < 2 * k:
-        return
-    step, size = GROUP_NAMES[k]
-    while True:
-        for kind, group, digits, group_mask in _candidate_groups(grid.masks, s, unsolved, k):
-            erased = _cleanup_group(grid, group, group_mask, touched)
-            if erased:
-                events.append(TraceEvent(step, f"{kind} {size}", view=view,
-                                         structure=STRUCTURES[s], cells=group,
-                                         digits=digits, erased=tuple(erased)))
-                break
-        else:
-            return
+    pos = None
+    for k in sizes:
+        if use_guards and len(unsolved) < 2 * k:
+            return  # sizes ascend, so every later size is guarded too
+        step, size = GROUP_NAMES[k]
+        while True:
+            small = [c for c in unsolved if 2 <= masks[c].bit_count() <= k]
+            for cells in combinations(small, k):
+                union = 0
+                for c in cells:
+                    union |= masks[c]
+                if union.bit_count() == k:
+                    kind, digits = "naked", DIGITS_OF[union]
+                    erased = _cleanup_group(grid, cells, union, touched)
+                    if erased:
+                        break
+            else:
+                if pos is None:
+                    pos = digit_positions(masks, s)
+                small = [d for d in range(1, 10) if 2 <= pos[d].bit_count() <= k]
+                for digits in combinations(small, k):
+                    union = 0
+                    for d in digits:
+                        union |= pos[d]
+                    if union.bit_count() == k:
+                        kind, cells = "hidden", cells_at(s, union)
+                        erased = _cleanup_group(grid, cells, mask_of(digits), touched)
+                        if erased:
+                            break
+                else:
+                    break  # no group of size k erases anything
+            pos = None
+            events.append(TraceEvent(step, f"{kind} {size}", view=view,
+                                     structure=STRUCTURES[s], cells=cells,
+                                     digits=digits, erased=tuple(erased)))
 
 
 def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
@@ -164,7 +170,7 @@ def detect_doubles(grid: Grid, s: Structure, *, trace: list | None = None,
     """
     events = trace if trace is not None else []
     start = len(events)
-    _scan_groups(grid, flat_structure(s), 2, events, view, set(), use_guards)
+    _scan_groups(grid, flat_structure(s), (2,), events, view, set(), use_guards)
     return events[start:]
 
 
@@ -174,7 +180,7 @@ def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
     Returns the events appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    _scan_groups(grid, flat_structure(s), 3, events, view, set(), use_guards)
+    _scan_groups(grid, flat_structure(s), (3,), events, view, set(), use_guards)
     return events[start:]
 
 
@@ -210,8 +216,7 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
             dirty &= dirty - 1
             changed: set[int] = set()
             _scan_singles(grid, s, events, view, changed)
-            for k in GROUP_NAMES:
-                _scan_groups(grid, s, k, events, view, changed, use_guards)
+            _scan_groups(grid, s, (2, 3), events, view, changed, use_guards)
             hit = 0
             for c in changed:
                 hit |= STRUCT_SET_OF[c]

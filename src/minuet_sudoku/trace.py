@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .grid import Grid, Structure
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One applied deduction: which rule fired, where, and what it changed.
 
     ``step`` uses the method's step tags ("1.1", "1.2", "1.3", "2", "3.1",

@@ -129,10 +129,16 @@ def test_usage_errors_exit_one_not_two(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--level", "0")])
 def test_batch_bad_jobs_or_level_exit_one_before_solving(tmp_path, capsys, monkeypatch,
                                                          flag, value):
+    """The bad option is the only error printed: the corpus, whose first line
+    is malformed, is not even read."""
     calls = []
     monkeypatch.setattr(harness, "solve", lambda grid, cfg=None, **kw: calls.append(grid))
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text(f"{EASY}\n{MEDIUM}\n")
+    corpus.write_text(f"{EASY[:80]}\n{EASY}\n{MEDIUM}\n")
     assert main(["batch", str(corpus), flag, value]) == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == {"--jobs": "error: jobs must be >= 1, got 0\n",
+                            "--level": "error: level must be in (0, 1), got 0.0\n"}[flag]
+    assert captured.out == ""
     assert calls == []
+

@@ -1,14 +1,18 @@
 import random
+from itertools import chain, combinations
 
 import pytest
 
 from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
                            detect_doubles, detect_singles, detect_triples,
-                           enumerate_starters, parse_grid, place_ink, step3_fixpoint)
-from minuet_sudoku.grid import BIT, CELLS_OF, DIGITS_OF, STRUCTURES, Grid, mask_of
+                           enumerate_starters, parse_grid, phase2, place_ink,
+                           serialize_grid, step3_fixpoint)
+from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCTURES, Grid,
+                                cells_at, digit_positions, mask_of)
+from minuet_sudoku.trace import TraceEvent
 
 from conftest import random_full_grid
-from puzzles import EASY, HARD, MEDIUM, TRICKY
+from puzzles import EASY, HARD, MEDIUM, STALL, TRICKY, random_isomorph
 
 
 def masked_grid(cell_masks: dict[int, set[int]]) -> Grid:
@@ -194,33 +198,174 @@ def schedule_and_reference(grid: Grid, touched: set[int] | None = None):
     return out
 
 
+def step3_cases(puzzle: str, truth: str):
+    """Step-3 inputs from one puzzle, as (kind, grid, touched): the parsed
+    puzzle with all structures dirty; then, from the grid the caller left at
+    its fixpoint, both choices of the first three starters (only the ink's
+    cell and the peers it erased from are touched) and one sound narrowing
+    (only its cell is touched)."""
+    grid = parse_grid(puzzle)
+    yield "parsed", grid, None
+    c = next((c for c in range(81) if not grid.solved[c]), None)
+    if c is None:
+        return
+    for starter in enumerate_starters(grid)[:3]:
+        for cell, digit in starter.choices():
+            view = grid.copy()
+            ev = place_ink(view, cell, digit)
+            yield "danced", view, {cell, *(p for p, _ in ev.erased)}
+    truth_digit = int(truth[c])
+    grid.masks[c] &= ~BIT[next(d for d in DIGITS_OF[grid.masks[c]] if d != truth_digit)]
+    yield "narrowed", grid, {c}
+
+
 def test_step3_schedule_matches_full_sweeps(full_corpus, solutions):
-    narrowed = danced = contradicted = 0
+    counts = {"narrowed": 0, "danced": 0, "contradicted": 0}
     for puzzle in full_corpus:
-        grid = parse_grid(puzzle)
-        got, want = schedule_and_reference(grid)
-        assert got == want, puzzle
-        c = next((c for c in range(81) if not grid.solved[c]), None)
-        if c is None:
+        for kind, grid, touched in step3_cases(puzzle, solutions[puzzle]):
+            got, want = schedule_and_reference(grid, touched)
+            assert got == want, (puzzle, kind, touched)
+            counts[kind] = counts.get(kind, 0) + 1
+            counts["contradicted"] += kind == "danced" and isinstance(got[1], str)
+    assert counts["narrowed"] > 0 and counts["contradicted"] > 0
+    assert counts["danced"] > counts["contradicted"]
+
+
+def table_scan_singles(grid: Grid, s: int, events: list, view, touched: set) -> None:
+    """The singles scan read from a position table built for every look."""
+    cells = CELLS_OF[s]
+    masks = grid.masks
+    solved = grid.solved
+    while True:
+        inked_mask = 0
+        naked = None
+        for c in cells:
+            m = masks[c]
+            if solved[c]:
+                inked_mask |= BIT[solved[c]]
+            elif not m:
+                raise ContradictionFound("empty_cell", cell=c)
+            elif naked is None and not m & (m - 1):
+                naked = c
+        if naked is not None:
+            d = DIGITS_OF[masks[naked]][0]
+            phase2._ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
             continue
-        # both choices of the first starters: only the ink's cell and the
-        # peers it erased from are touched
-        for starter in enumerate_starters(grid)[:3]:
-            for cell, digit in starter.choices():
-                view = grid.copy()
-                ev = place_ink(view, cell, digit)
-                got, want = schedule_and_reference(
-                    view, {cell, *(p for p, _ in ev.erased)})
-                assert got == want, (puzzle, cell, digit)
-                danced += 1
-                contradicted += isinstance(got[1], str)
-        # one sound narrowing of the fixpoint grid: only its cell is touched
-        truth = int(solutions[puzzle][c])
-        grid.masks[c] &= ~BIT[next(d for d in DIGITS_OF[grid.masks[c]] if d != truth)]
-        got, want = schedule_and_reference(grid, {c})
-        assert got == want, puzzle
-        narrowed += 1
-    assert narrowed > 0 and contradicted > 0 and danced > contradicted
+        pos = digit_positions(masks, s)
+        for d in DIGITS_OF[ALL_DIGITS & ~inked_mask]:
+            p = pos[d]
+            if not p:
+                raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
+            if not p & (p - 1):
+                c = cells[p.bit_length() - 1]
+                phase2._ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
+                break
+        else:
+            return
+
+
+def table_groups(items: list[tuple[int, int]], k: int):
+    """Each k-subset of ``(key, mask)`` items, in ``combinations`` order,
+    whose masks have 2..k bits each and exactly k bits together."""
+    small = [item for item in items if 2 <= item[1].bit_count() <= k]
+    for group in combinations(small, k):
+        union = 0
+        for _, m in group:
+            union |= m
+        if union.bit_count() == k:
+            yield tuple(key for key, _ in group), union
+
+
+def table_candidate_groups(masks: list[int], s: int, unsolved: list[int], k: int):
+    for group, union in table_groups([(c, masks[c]) for c in unsolved], k):
+        yield "naked", group, DIGITS_OF[union], union
+    pos = digit_positions(masks, s)
+    for digits, union in table_groups([(d, pos[d]) for d in range(1, 10)], k):
+        yield "hidden", cells_at(s, union), digits, mask_of(digits)
+
+
+def table_scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list, view,
+                      touched: set, use_guards: bool) -> None:
+    for k in sizes:
+        table_scan_size(grid, s, k, events, view, touched, use_guards)
+
+
+def table_scan_size(grid: Grid, s: int, k: int, events: list, view, touched: set,
+                    use_guards: bool) -> None:
+    """The group scan of one size, as a generator of every candidate group
+    over the cell masks, then over a position table built afresh."""
+    unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
+    if use_guards and len(unsolved) < 2 * k:
+        return
+    step, size = phase2.GROUP_NAMES[k]
+    while True:
+        for kind, group, digits, group_mask in table_candidate_groups(grid.masks, s,
+                                                                      unsolved, k):
+            erased = phase2._cleanup_group(grid, group, group_mask, touched)
+            if erased:
+                events.append(TraceEvent(step, f"{kind} {size}", view=view,
+                                         structure=STRUCTURES[s], cells=group,
+                                         digits=digits, erased=tuple(erased)))
+                break
+        else:
+            return
+
+
+def run_step3(grid: Grid, touched: set[int] | None, view: str | None):
+    """(events, finds per sweep or the contradiction's fields, final grid)."""
+    events = []
+    try:
+        result = step3_fixpoint(grid, trace=events, view=view,
+                                touched=touched).finds_per_sweep
+    except ContradictionFound as e:
+        result = (e.kind, e.structure, e.cell, e.digit)
+    return events, result, grid
+
+
+def planted_grids(seed: int, n: int):
+    """Full-candidate grids with eight naked or hidden doubles and triples
+    planted in random structures, as Step-3 cases.  Several groups are often
+    visible in one structure at once, so their order shows in the trace."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        g = Grid()
+        for _ in range(8):
+            cells = CELLS_OF[rng.randrange(27)]
+            k = rng.choice((2, 3))
+            group = rng.sample(cells, k)
+            digits = mask_of(rng.sample(range(1, 10), k))
+            naked = rng.random() < 0.5
+            for c in cells:
+                if naked and c in group:
+                    g.masks[c] &= digits
+                elif not naked and c not in group:
+                    g.masks[c] &= ~digits
+        yield "planted", g, None
+
+
+def test_step3_scans_match_position_table_scans(full_corpus, solutions, monkeypatch):
+    rng = random.Random(1313)
+    stalls = [STALL] + [random_isomorph(rng).apply(STALL) for _ in range(10)]
+    truths = {**solutions,
+              **{p: serialize_grid(brute_solve(parse_grid(p))) for p in stalls}}
+    cases = [step3_cases(puzzle, truths[puzzle]) for puzzle in full_corpus + stalls]
+    cases.append(planted_grids(1313, 150))
+    rules, raised = set(), set()
+    for kind, grid, touched in chain.from_iterable(cases):
+        view = "circle" if kind == "danced" else None
+        reference = grid.copy()
+        with monkeypatch.context() as m:
+            m.setattr(phase2, "_scan_singles", table_scan_singles)
+            m.setattr(phase2, "_scan_groups", table_scan_groups)
+            want = run_step3(reference, touched, view)
+        got = run_step3(grid, touched, view)  # leaves a parsed grid at its fixpoint
+        assert got == want, (kind, touched, serialize_grid(grid))
+        rules.update(ev.rule for ev in got[0])
+        if isinstance(got[1], tuple):
+            raised.add(got[1][0])
+    assert rules >= {f"{kind} {size}" for kind in ("naked", "hidden")
+                     for size in ("single", "double", "triple")}
+    assert raised == {"empty_cell", "starved"}
 
 
 @pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD, TRICKY])
