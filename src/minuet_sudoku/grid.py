@@ -260,16 +260,15 @@ def place_ink(grid: Grid, cell: int, digit: int, *, step: str = "", rule: str = 
     if not grid.masks[cell] & b:
         raise NotACandidate(f"digit {digit} is not a candidate of cell {cell}")
     grid.solved[cell] = digit
-    grid.masks[cell] = 0
-    erased = []
     masks = grid.masks
+    masks[cell] = 0
+    erased = []
     for p in PEERS[cell]:
         if masks[p] & b:
-            masks[p] &= ~b
+            masks[p] ^= b
             erased.append((p, digit))
-    return TraceEvent(step=step, rule=rule, view=view, structure=structure,
-                      cells=(cell,), digits=(digit,),
-                      inked=((cell, digit),), erased=tuple(erased))
+    return TraceEvent(step, rule, view, structure, (cell,), (digit,), ((cell, digit),),
+                      tuple(erased))
 
 
 def block_group(grid: Grid, cells: tuple[int, ...], mask: int) -> list[tuple[int, int]]:
@@ -278,7 +277,12 @@ def block_group(grid: Grid, cells: tuple[int, ...], mask: int) -> list[tuple[int
     (cell, digit) pairs; raises ContradictionFound on a cell left empty."""
     masks = grid.masks
     erased = []
-    for s in shared_structures(cells):
+    shared = STRUCT_SET_OF[cells[0]]
+    for c in cells:
+        shared &= STRUCT_SET_OF[c]
+    while shared:
+        s = (shared & -shared).bit_length() - 1
+        shared &= shared - 1
         for c in CELLS_OF[s]:
             if c in cells or not masks[c] & mask:
                 continue

@@ -24,6 +24,10 @@ loses candidates.  While the view is live, the base changes only in
   as a contradiction.
 
 So a live view never needs to be brought up to date with the base.
+
+A commit needs no Step-3 cleanup of its own: it makes the base equal to the
+survivor's shadow, which ``init_hypotheses`` left at a Step-3 fixpoint
+(``commit_retained``).
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import oracle
-from .grid import (BIT, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTURES,
-                   ContradictionFound, Grid, Structure, cells_at, check_consistency,
-                   digit_positions, parse_grid, place_ink, serialize_grid)
+from .grid import (BIT, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTS_OF,
+                   STRUCTURES, ContradictionFound, Grid, Structure, check_consistency,
+                   parse_grid, place_ink, serialize_grid)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
 from .phase2 import step3_fixpoint
 from .trace import TraceEvent
@@ -108,6 +112,12 @@ class SolveConfig:
     phase1_triples: bool = False
     round_cap: int = 81
 
+    def __post_init__(self) -> None:
+        # a minuet capped at zero rounds returns "stuck" without dancing, so a
+        # cap below 1 would report every puzzle that needs Step 4 as a failure
+        if self.round_cap < 1:
+            raise ValueError(f"round_cap must be at least 1, got {self.round_cap}")
+
 
 @dataclass(slots=True)
 class SolveStats:
@@ -157,48 +167,68 @@ class SolveOutcome:
         return self.status == "solved"
 
 
+# 81-bit board of a cell's three structures: the cover of a bivalue starter
+CELL_COVER = tuple(STRUCT_BITS[r] | STRUCT_BITS[c] | STRUCT_BITS[b]
+                   for r, c, b in STRUCTS_OF)
+
+
 def enumerate_starters(grid: Grid) -> list[Starter]:
     """All bivalue cells and half doubles, best-scored first.
 
-    Half doubles are the two-bit entries of the structures' position tables.
-    Score = number of bivalue cells in the union of the starter's covering
+    A half double is a digit with exactly two places in a structure: one
+    pass over the structure's cells ORs their masks into ``seen``,
+    ``twice`` and ``thrice`` (digits with one place or more, two or more,
+    three or more), and the half doubles are ``twice & ~thrice``.  Score =
+    number of bivalue cells in the union of the starter's covering
     structures (footnote-8 heuristic): the bivalue board ANDed with the
-    cover, on 81-bit boards.  The covering structures are a 27-bit set: a
-    cell's three, or the ones a half double's two cells share.  Ties break by
-    ascending cell index, then ascending digit.  Raises NoStarters when none
-    exist.
+    cover, on 81-bit boards.  The cover is a cell's three structures
+    (``CELL_COVER``), or the ones a half double's two cells share.  Ties
+    break by ascending cell index, then ascending digit.  Raises NoStarters
+    when none exist.
     """
     masks = grid.masks
-    bivalue = [c for c in range(81)
-               if not grid.solved[c] and masks[c].bit_count() == 2]
-    board = sum(1 << c for c in bivalue)
-
-    def score(shared: int) -> int:
-        cover = 0
-        while shared:
-            cover |= STRUCT_BITS[(shared & -shared).bit_length() - 1]
-            shared &= shared - 1
-        return (board & cover).bit_count()
-
-    starters = [Starter("bivalue", (c,), DIGITS_OF[masks[c]], None,
-                        score(STRUCT_SET_OF[c])) for c in bivalue]
-    seen: set[tuple[tuple[int, ...], int]] = set()
+    solved = grid.solved
+    bivalue = [c for c in range(81) if masks[c].bit_count() == 2 and not solved[c]]
+    board = 0
+    for c in bivalue:
+        board |= 1 << c
+    # (sort key, Starter fields); the keys are distinct, so fields never compare
+    entries = []
+    for c in bivalue:
+        digits = DIGITS_OF[masks[c]]
+        score = (board & CELL_COVER[c]).bit_count()
+        entries.append(((-score, c, digits[0], c, 0),
+                        ("bivalue", (c,), digits, None, score)))
+    found = set()
     for s in range(27):
-        pos = digit_positions(masks, s)
-        for d in range(1, 10):
-            if pos[d].bit_count() != 2:
+        cells = CELLS_OF[s]
+        seen = twice = thrice = 0
+        for c in cells:
+            m = masks[c]
+            thrice |= twice & m
+            twice |= seen & m
+            seen |= m
+        half = twice & ~thrice
+        while half:
+            b = half & -half
+            half ^= b
+            a, z = [c for c in cells if masks[c] & b]
+            d = b.bit_length()
+            if (a, z, d) in found:  # also a half double of an earlier structure
                 continue
-            cells = cells_at(s, pos[d])
-            if (cells, d) not in seen:
-                seen.add((cells, d))
-                a, b = cells
-                starters.append(Starter("half_double", cells, (d,), STRUCTURES[s],
-                                        score(STRUCT_SET_OF[a] & STRUCT_SET_OF[b])))
-    if not starters:
+            found.add((a, z, d))
+            shared = STRUCT_SET_OF[a] & STRUCT_SET_OF[z]
+            cover = 0
+            while shared:
+                cover |= STRUCT_BITS[(shared & -shared).bit_length() - 1]
+                shared &= shared - 1
+            score = (board & cover).bit_count()
+            entries.append(((-score, a, d, z, 1),
+                            ("half_double", (a, z), (d,), STRUCTURES[s], score)))
+    if not entries:
         raise NoStarters("no bivalue cell and no half double at this fixpoint")
-    starters.sort(key=lambda st: (-st.score, min(st.cells), st.digits[0],
-                                  max(st.cells), 0 if st.kind == "bivalue" else 1))
-    return starters
+    entries.sort()
+    return [Starter(*fields) for _, fields in entries]
 
 
 def init_hypotheses(grid: Grid, starter: Starter,
@@ -243,16 +273,18 @@ def dance_alone(view: HypothesisView, touched: set[int],
 
 
 def _narrow(base: Grid, c: int, allowed: int, step: str, rule: str,
-            events: list, touched: set) -> None:
-    """Erase from base cell ``c`` every candidate outside ``allowed``, as one event."""
+            events: list) -> bool:
+    """Erase from base cell ``c`` every candidate outside ``allowed``, as one
+    event; returns whether anything was erased."""
     rm = base.masks[c] & ~allowed
-    if rm:
-        base.masks[c] &= allowed
-        events.append(TraceEvent(step, rule, cells=(c,), digits=DIGITS_OF[rm],
-                                 erased=tuple((c, d) for d in DIGITS_OF[rm])))
-        touched.add(c)
-        if not base.masks[c]:
-            raise ContradictionFound("empty_cell", cell=c)
+    if not rm:
+        return False
+    base.masks[c] &= allowed
+    events.append(TraceEvent(step, rule, cells=(c,), digits=DIGITS_OF[rm],
+                             erased=tuple((c, d) for d in DIGITS_OF[rm])))
+    if not base.masks[c]:
+        raise ContradictionFound("empty_cell", cell=c)
+    return True
 
 
 def dance_together(state: MinuetState, base: Grid, trace: list | None = None) -> bool:
@@ -297,9 +329,9 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None) ->
             events.append(ev)
             touched.add(c)
             touched.update(p for p, _ in ev.erased)
-        else:
-            _narrow(base, c, circle.retained(c) | square.retained(c), "4a", "trick (a)",
-                    events, touched)
+        elif _narrow(base, c, circle.retained(c) | square.retained(c), "4a",
+                     "trick (a)", events):
+            touched.add(c)
 
     if touched:
         step3_fixpoint(base, trace=events, touched=touched)
@@ -310,9 +342,21 @@ def commit_retained(state: MinuetState, base: Grid,
                     trace: list | None = None) -> None:
     """One view contradicted: its choice was false, so the survivor is right.
 
-    Ink every cell the survivor solved, narrow the base to its retained
-    candidates, and run a Step-3 cleanup.  Raises BothContradicted if neither
-    view survived (only reachable on ill-posed input)."""
+    Ink every cell the survivor solved and narrow the base to its retained
+    candidates.  Raises BothContradicted if neither view survived (only
+    reachable on ill-posed input).
+
+    No Step-3 cleanup follows, because it could find nothing.  Lemma: after
+    the commit the base equals the survivor's shadow, which is at a Step-3
+    fixpoint.  Views never change after ``init_hypotheses``, so a view is
+    contradicted in a minuet's first round or never, and ``run_minuet``
+    commits before any ``dance_together`` has touched the base.
+    ``init_hypotheses`` copied that base, which was at a Step-3 fixpoint, and
+    ``dance_alone`` took the copy back to one.  The shadow narrows the base
+    (module docstring), and a digit inked in the shadow is a candidate of
+    none of the cell's peers there (``dance_together``).  So the inks erase
+    only what the shadow lacks, and the narrowing leaves each base cell with
+    exactly the shadow's candidates."""
     events = trace if trace is not None else []
     alive = [v for v in (state.circle, state.square) if v.alive]
     if not alive:
@@ -322,17 +366,12 @@ def commit_retained(state: MinuetState, base: Grid,
     surv = alive[0]
     shadow = surv.shadow
     rule = f"commit {surv.label}"
-    touched: set[int] = set()
     for c in range(81):
         if not base.solved[c] and shadow.solved[c]:
-            ev = place_ink(base, c, shadow.solved[c], step="commit", rule=rule)
-            events.append(ev)
-            touched.add(c)
-            touched.update(p for p, _ in ev.erased)
+            events.append(place_ink(base, c, shadow.solved[c], step="commit", rule=rule))
     for c in range(81):
         if not base.solved[c]:
-            _narrow(base, c, shadow.masks[c], "commit", rule, events, touched)
-    step3_fixpoint(base, trace=events, touched=touched)
+            _narrow(base, c, shadow.masks[c], "commit", rule, events)
 
 
 def _adopt(view: HypothesisView, base: Grid, events: list) -> None:

@@ -13,15 +13,18 @@ group erased anything, and reuses it until a cleanup erases.
 Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
 cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
 group form a smaller group of the other kind, which the earlier scans look
-for.  Quadruples would need 8+ unsolved cells and are rare enough that
-hunting them never pays, so they are deliberately not implemented.
+for.  The singles scan returns the unsolved count it ends with, so
+``step3_fixpoint`` skips the group scan of a structure with fewer than 4.
+Quadruples would need 8+ unsolved cells and are rare enough that hunting
+them never pays, so they are deliberately not implemented.
 
 Every find is logged as one ``TraceEvent`` (step "3.1", "3.2" or "3.3"),
 and that event is the only record of it: the detectors return the events they
 appended, and ``step3_fixpoint`` counts a sweep's finds as the growth of
 the trace.  It tracks dirty structures (a structure is rescanned only after
 one of its cells changed), which skips provably find-free scans without
-altering finds, events, or the final grid.
+altering finds, events, or the final grid.  Each scan returns the
+structures its finds changed, as a 27-bit set.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class FixpointRun:
         return len(self.finds_per_sweep)
 
 
-def _cleanup_group(grid: Grid, cells: tuple[int, ...], group_mask: int,
-                   touched: set) -> list[tuple[int, int]]:
+def _cleanup_group(grid: Grid, cells: tuple[int, ...],
+                   group_mask: int) -> list[tuple[int, int]]:
     """Rule 21: strip foreign candidates inside the group's cells (each keeps
     one of the group's digits), then erase the group's digits from every
     structure containing all of its cells."""
@@ -56,26 +59,35 @@ def _cleanup_group(grid: Grid, cells: tuple[int, ...], group_mask: int,
     for c in cells:
         masks[c] &= group_mask
     erased += block_group(grid, cells, group_mask)
-    touched.update(c for c, _ in erased)
     return erased
 
 
-def _ink(grid, cell, digit, step, rule, s, events, view, touched) -> None:
+def _structures_hit(erased) -> int:
+    """The 27-bit set of structures holding a cell of the (cell, digit) pairs."""
+    hit = 0
+    for c, _ in erased:
+        hit |= STRUCT_SET_OF[c]
+    return hit
+
+
+def _ink(grid, cell, digit, step, rule, s, events, view) -> int:
+    """Ink and log a single; returns the structures it changed (27-bit)."""
     ev = place_ink(grid, cell, digit, step=step, rule=rule, view=view,
                    structure=STRUCTURES[s])
     events.append(ev)
-    touched.add(cell)
-    touched.update(c for c, _ in ev.erased)
+    return STRUCT_SET_OF[cell] | _structures_hit(ev.erased)
 
 
-def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
-                  touched: set) -> None:
+def _scan_singles(grid: Grid, s: int, events: list,
+                  view: str | None) -> tuple[int, int]:
     """Ink singles until none is left: an empty cell raises first, then the
     lowest naked single is inked, else the lowest digit that is starved
-    (raises) or a hidden single (inked)."""
+    (raises) or a hidden single (inked).  Returns the structure's unsolved
+    cell count at the end and the structures the inks changed (27-bit)."""
     cells = CELLS_OF[s]
     masks = grid.masks
     solved = grid.solved
+    hit = 0
     while True:
         inked_mask = seen = twice = 0
         naked = None
@@ -91,32 +103,34 @@ def _scan_singles(grid: Grid, s: int, events: list, view: str | None,
                 naked = c
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
-            _ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
+            hit |= _ink(grid, naked, d, "3.1", "naked single", s, events, view)
             continue
         lone = ALL_DIGITS & ~(inked_mask | twice)  # starved or hidden single
         if not lone:
-            return
+            return 9 - inked_mask.bit_count(), hit
         b = lone & -lone
         d = b.bit_length()
         if not seen & b:
             raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
         c = next(c for c in cells if masks[c] & b)
-        _ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
+        hit |= _ink(grid, c, d, "3.1", "hidden single", s, events, view)
 
 
 def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
-                 view: str | None, touched: set, use_guards: bool) -> None:
+                 view: str | None, use_guards: bool) -> int:
     """For each size ``k`` in turn, clean up (Rule 21) the first group whose
     cleanup erases something, log it, and look again, until no group erases
     anything.  Groups come in ``combinations`` order of the cells (naked),
     then of the digits (hidden), with 2..k candidates or positions each and
-    k together.  A position table is reused until a cleanup erases."""
+    k together.  A position table is reused until a cleanup erases.  Returns
+    the structures the cleanups changed (27-bit)."""
     masks = grid.masks
     unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
     pos = None
+    hit = 0
     for k in sizes:
         if use_guards and len(unsolved) < 2 * k:
-            return  # sizes ascend, so every later size is guarded too
+            break  # sizes ascend, so every later size is guarded too
         step, size = GROUP_NAMES[k]
         while True:
             small = [c for c in unsolved if 2 <= masks[c].bit_count() <= k]
@@ -126,7 +140,7 @@ def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
                     union |= masks[c]
                 if union.bit_count() == k:
                     kind, digits = "naked", DIGITS_OF[union]
-                    erased = _cleanup_group(grid, cells, union, touched)
+                    erased = _cleanup_group(grid, cells, union)
                     if erased:
                         break
             else:
@@ -139,15 +153,16 @@ def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
                         union |= pos[d]
                     if union.bit_count() == k:
                         kind, cells = "hidden", cells_at(s, union)
-                        erased = _cleanup_group(grid, cells, mask_of(digits), touched)
+                        erased = _cleanup_group(grid, cells, mask_of(digits))
                         if erased:
                             break
                 else:
                     break  # no group of size k erases anything
             pos = None
-            events.append(TraceEvent(step, f"{kind} {size}", view=view,
-                                     structure=STRUCTURES[s], cells=cells,
-                                     digits=digits, erased=tuple(erased)))
+            hit |= _structures_hit(erased)
+            events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
+                                     cells, digits, (), tuple(erased)))
+    return hit
 
 
 def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
@@ -156,7 +171,7 @@ def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
     Returns the events appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    _scan_singles(grid, flat_structure(s), events, view, set())
+    _scan_singles(grid, flat_structure(s), events, view)
     return events[start:]
 
 
@@ -170,7 +185,7 @@ def detect_doubles(grid: Grid, s: Structure, *, trace: list | None = None,
     """
     events = trace if trace is not None else []
     start = len(events)
-    _scan_groups(grid, flat_structure(s), (2,), events, view, set(), use_guards)
+    _scan_groups(grid, flat_structure(s), (2,), events, view, use_guards)
     return events[start:]
 
 
@@ -180,7 +195,7 @@ def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
     Returns the events appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    _scan_groups(grid, flat_structure(s), (3,), events, view, set(), use_guards)
+    _scan_groups(grid, flat_structure(s), (3,), events, view, use_guards)
     return events[start:]
 
 
@@ -214,12 +229,9 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
         while dirty:
             s = (dirty & -dirty).bit_length() - 1
             dirty &= dirty - 1
-            changed: set[int] = set()
-            _scan_singles(grid, s, events, view, changed)
-            _scan_groups(grid, s, (2, 3), events, view, changed, use_guards)
-            hit = 0
-            for c in changed:
-                hit |= STRUCT_SET_OF[c]
+            unsolved, hit = _scan_singles(grid, s, events, view)
+            if unsolved >= 4 or not use_guards:
+                hit |= _scan_groups(grid, s, (2, 3), events, view, use_guards)
             behind = (2 << s) - 1
             dirty |= hit & ~behind
             later |= hit & behind

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minuet_sudoku import (BothContradicted,
-                           HalfDoubleRegistry, NoStarters, Starter,
+                           HalfDoubleRegistry, NoStarters, SolveConfig, Starter,
                            brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
@@ -315,6 +315,27 @@ def test_commits_count_only_minuets_that_commit(monkeypatch):
     assert outcome.stats.commits == len(commits) == 2
 
 
+def test_commit_leaves_base_equal_to_a_survivor_at_its_fixpoint(hard_corpus,
+                                                               monkeypatch):
+    """The premise that lets a commit skip Step 3: afterwards the base is the
+    survivor's shadow, and a full Step-3 fixpoint of it finds nothing."""
+    commits = []
+    real_commit = minuet.commit_retained
+
+    def commit(state, base, *args, **kwargs):
+        real_commit(state, base, *args, **kwargs)
+        survivor = state.circle if state.circle.alive else state.square
+        assert base == survivor.shadow
+        events = []
+        step3_fixpoint(base.copy(), trace=events)
+        assert events == []
+        commits.append(1)
+
+    monkeypatch.setattr(minuet, "commit_retained", commit)
+    counted = sum(solve(puzzle).stats.commits for puzzle in hard_corpus)
+    assert len(commits) == counted > 0
+
+
 def test_union_soundness_on_fixture_puzzles(monkeypatch):
     real_dance_together = minuet.dance_together
     for puzzle, solution in ((HARD, HARD_SOLUTION), (TRICKY, TRICKY_SOLUTION)):
@@ -393,6 +414,15 @@ def test_run_minuet_round_cap_returns_stuck():
     outcome, _ = run_minuet(g, enumerate_starters(g)[0], round_cap=0)
     assert outcome == "stuck"
     assert g.fingerprint() == snap
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_solve_config_rejects_a_round_cap_below_one(cap):
+    # with no round to dance, every minuet would be "stuck" and a well-posed
+    # puzzle that needs Step 4 would be reported as a conjecture failure
+    with pytest.raises(ValueError, match="round_cap"):
+        SolveConfig(round_cap=cap)
+    assert solve(HARD, SolveConfig(round_cap=1)).status == "solved"
 
 
 # --- solve ------------------------------------------------------------------

@@ -7,8 +7,8 @@ from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
                            detect_doubles, detect_singles, detect_triples,
                            enumerate_starters, parse_grid, phase2, place_ink,
                            serialize_grid, step3_fixpoint)
-from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCTURES, Grid,
-                                cells_at, digit_positions, mask_of)
+from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF,
+                                STRUCTURES, Grid, cells_at, digit_positions, mask_of)
 from minuet_sudoku.trace import TraceEvent
 
 from conftest import random_full_grid
@@ -231,11 +231,31 @@ def test_step3_schedule_matches_full_sweeps(full_corpus, solutions):
     assert counts["danced"] > counts["contradicted"]
 
 
-def table_scan_singles(grid: Grid, s: int, events: list, view, touched: set) -> None:
-    """The singles scan read from a position table built for every look."""
+def structures_of(touched: set[int]) -> int:
+    """The 27-bit set of structures holding a touched cell."""
+    hit = 0
+    for c in touched:
+        hit |= STRUCT_SET_OF[c]
+    return hit
+
+
+def table_ink(grid: Grid, cell: int, digit: int, rule: str, s: int, events: list, view,
+              touched: set) -> None:
+    ev = place_ink(grid, cell, digit, step="3.1", rule=rule, view=view,
+                   structure=STRUCTURES[s])
+    events.append(ev)
+    touched.add(cell)
+    touched.update(c for c, _ in ev.erased)
+
+
+def table_scan_singles(grid: Grid, s: int, events: list, view) -> tuple[int, int]:
+    """The singles scan read from a position table built for every look.
+    Returns the structure's unsolved cells, counted at the end, and the
+    structures holding a cell it changed."""
     cells = CELLS_OF[s]
     masks = grid.masks
     solved = grid.solved
+    touched: set[int] = set()
     while True:
         inked_mask = 0
         naked = None
@@ -249,7 +269,7 @@ def table_scan_singles(grid: Grid, s: int, events: list, view, touched: set) -> 
                 naked = c
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
-            phase2._ink(grid, naked, d, "3.1", "naked single", s, events, view, touched)
+            table_ink(grid, naked, d, "naked single", s, events, view, touched)
             continue
         pos = digit_positions(masks, s)
         for d in DIGITS_OF[ALL_DIGITS & ~inked_mask]:
@@ -258,10 +278,10 @@ def table_scan_singles(grid: Grid, s: int, events: list, view, touched: set) -> 
                 raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
             if not p & (p - 1):
                 c = cells[p.bit_length() - 1]
-                phase2._ink(grid, c, d, "3.1", "hidden single", s, events, view, touched)
+                table_ink(grid, c, d, "hidden single", s, events, view, touched)
                 break
         else:
-            return
+            return sum(not solved[c] for c in cells), structures_of(touched)
 
 
 def table_groups(items: list[tuple[int, int]], k: int):
@@ -285,9 +305,12 @@ def table_candidate_groups(masks: list[int], s: int, unsolved: list[int], k: int
 
 
 def table_scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list, view,
-                      touched: set, use_guards: bool) -> None:
+                      use_guards: bool) -> int:
+    """Returns the structures holding a cell a cleanup changed."""
+    touched: set[int] = set()
     for k in sizes:
         table_scan_size(grid, s, k, events, view, touched, use_guards)
+    return structures_of(touched)
 
 
 def table_scan_size(grid: Grid, s: int, k: int, events: list, view, touched: set,
@@ -301,7 +324,8 @@ def table_scan_size(grid: Grid, s: int, k: int, events: list, view, touched: set
     while True:
         for kind, group, digits, group_mask in table_candidate_groups(grid.masks, s,
                                                                       unsolved, k):
-            erased = phase2._cleanup_group(grid, group, group_mask, touched)
+            erased = phase2._cleanup_group(grid, group, group_mask)
+            touched.update(c for c, _ in erased)
             if erased:
                 events.append(TraceEvent(step, f"{kind} {size}", view=view,
                                          structure=STRUCTURES[s], cells=group,
@@ -343,6 +367,59 @@ def planted_grids(seed: int, n: int):
         yield "planted", g, None
 
 
+def row_with_four_open(*masks: set[int]) -> Grid:
+    """Full candidates, except row 0: 1-5 inked in its first five cells and
+    the given candidates in the other four."""
+    g = Grid()
+    for d, c in enumerate(CELLS_OF[0][:5], start=1):
+        place_ink(g, c, d)
+    for c, digits in zip(CELLS_OF[0][5:], masks):
+        g.masks[c] = mask_of(digits)
+    return g
+
+
+# A naked single, and no other single: the singles scan inks the row down
+# to 3 unsolved cells, so its group scan is skipped.
+def row_inked_below_four() -> Grid:
+    return row_with_four_open({6}, {7, 8}, {8, 9}, {7, 9})
+
+
+# No single, and a naked double whose cleanup erases only inside row 0: the
+# row keeps 4 unsolved cells, so its group scan must run.
+def row_double_at_four() -> Grid:
+    return row_with_four_open({6, 7}, {6, 7}, {6, 7, 8, 9}, {6, 7, 8, 9})
+
+
+def step3_group_scans(grid: Grid, monkeypatch) -> tuple[list, list[int]]:
+    """Step 3's events on ``grid`` and the structures whose group scan ran."""
+    scanned = []
+    real_scan_groups = phase2._scan_groups
+
+    def scan_groups(grid, s, *args):
+        scanned.append(s)
+        return real_scan_groups(grid, s, *args)
+
+    monkeypatch.setattr(phase2, "_scan_groups", scan_groups)
+    events = []
+    step3_fixpoint(grid, trace=events)
+    return events, scanned
+
+
+def test_step3_skips_group_scan_of_a_structure_inked_below_four(monkeypatch):
+    g = row_inked_below_four()
+    events, scanned = step3_group_scans(g, monkeypatch)
+    assert events[0].rule == "naked single" and events[0].cells == (5,)
+    assert sum(not g.solved[c] for c in CELLS_OF[0]) == 3
+    assert scanned and 0 not in scanned  # row 0's group scan was never called
+
+
+def test_step3_scans_groups_of_a_structure_with_four_unsolved(monkeypatch):
+    events, scanned = step3_group_scans(row_double_at_four(), monkeypatch)
+    assert scanned[0] == 0
+    assert (events[0].rule, events[0].cells, events[0].digits) == \
+        ("naked double", (5, 6), (6, 7))
+
+
 def test_step3_scans_match_position_table_scans(full_corpus, solutions, monkeypatch):
     rng = random.Random(1313)
     stalls = [STALL] + [random_isomorph(rng).apply(STALL) for _ in range(10)]
@@ -350,6 +427,8 @@ def test_step3_scans_match_position_table_scans(full_corpus, solutions, monkeypa
               **{p: serialize_grid(brute_solve(parse_grid(p))) for p in stalls}}
     cases = [step3_cases(puzzle, truths[puzzle]) for puzzle in full_corpus + stalls]
     cases.append(planted_grids(1313, 150))
+    cases.append([("planted", row_inked_below_four(), None),
+                  ("planted", row_double_at_four(), None)])
     rules, raised = set(), set()
     for kind, grid, touched in chain.from_iterable(cases):
         view = "circle" if kind == "danced" else None
