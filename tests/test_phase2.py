@@ -378,15 +378,15 @@ def row_with_four_open(*masks: set[int]) -> Grid:
     return g
 
 
-# A naked single, and no other single: the singles scan inks the row down
-# to 3 unsolved cells, so its group scan is skipped.
 def row_inked_below_four() -> Grid:
+    """A naked single, and no other single: the singles scan inks the row
+    down to 3 unsolved cells, so its group scan is skipped."""
     return row_with_four_open({6}, {7, 8}, {8, 9}, {7, 9})
 
 
-# No single, and a naked double whose cleanup erases only inside row 0: the
-# row keeps 4 unsolved cells, so its group scan must run.
 def row_double_at_four() -> Grid:
+    """No single, and a naked double whose cleanup erases only inside row 0:
+    the row keeps 4 unsolved cells, so its group scan must run."""
     return row_with_four_open({6, 7}, {6, 7}, {6, 7, 8, 9}, {6, 7, 8, 9})
 
 
