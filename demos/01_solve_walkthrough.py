@@ -39,7 +39,7 @@ if not grid.is_complete():
 outcome = solve(PUZZLE)
 print(f"\nfull method: {outcome.status} after "
       f"{outcome.stats.starters_danced} starter(s), "
-      f"{outcome.stats.minuet_rounds} round(s)")
+      f"{outcome.stats.commits} commit(s)")
 print(serialize_grid(outcome.grid))
 print("\nsolve log by rule:")
 print(render_trace(outcome.trace, "summary"))

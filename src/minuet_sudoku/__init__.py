@@ -4,14 +4,13 @@ for counterexamples to the conjecture that the method solves them all."""
 
 from .grid import (Grid, Structure, ConsistencyIssue, GridError, WrongLength,
                    BadChar, InconsistentGivens, NotACandidate, AlreadySolved,
-                   ContradictionFound, parse_grid, serialize_grid,
-                   cells_of_structure, place_ink, check_consistency)
+                   ContradictionFound, parse_grid, serialize_grid, place_ink,
+                   check_consistency)
 from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
 from .phase1 import (HalfDoubleRegistry, Phase1Run, available_cells, step1_scan,
                      step1_fixpoint, step2_fill)
-from .phase2 import (FixpointRun, detect_singles, detect_doubles, detect_triples,
-                     step3_fixpoint)
+from .phase2 import FixpointRun, detect_singles, step3_fixpoint
 from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
                      SolveStats, SolveOutcome, FailureReport, NoStarters,
                      BothContradicted, InconsistentSolution, enumerate_starters,

@@ -79,7 +79,7 @@ def cmd_solve(args) -> int:
     if outcome.status == "solved":
         print(serialize_grid(outcome.grid))
         print(f"solved: {outcome.stats.starters_danced} minuet starter(s), "
-              f"{outcome.stats.minuet_rounds} round(s)")
+              f"{outcome.stats.commits} commit(s)")
         return EXIT_OK
     if outcome.status == "conjecture_failure":
         print(render_report(outcome.report))

@@ -242,11 +242,6 @@ def serialize_grid(grid: Grid) -> str:
     return "".join(str(d) if d else "." for d in grid.solved)
 
 
-def cells_of_structure(s: Structure) -> list[int]:
-    """The 9 cell indices of a structure, ascending."""
-    return list(CELLS_OF[flat_structure(s)])
-
-
 def place_ink(grid: Grid, cell: int, digit: int, *, step: str = "", rule: str = "ink",
               view: str | None = None, structure: Structure | None = None) -> TraceEvent:
     """Ink ``digit`` into ``cell`` and erase it from all 20 peers (Rule 19).

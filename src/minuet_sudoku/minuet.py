@@ -1,7 +1,9 @@
 """Step 4, the minuet: pick a binary starter, develop circle and square
 hypotheses independently (dance alone), combine their retained candidates to
 prune the base grid (dance together), commit the survivor on contradiction,
-and retry with fresh starters until the puzzle yields.
+and retry with fresh starters until the puzzle yields.  The minuet as coded
+alternates dancing alone and together until nothing changes; one
+``dance_together`` is that whole iteration (``run_minuet``).
 
 Each hypothesis view holds a full shadow grid: the explicit form of the
 over/under-dot markings.  A view is developed once, when its starter is
@@ -12,8 +14,8 @@ views' retained sets always contains the true digit of every cell.
 Invariant: a live view narrows the base.  Every cell the base has solved is
 solved to the same digit in the view, and every digit the view retains in a
 cell the base retains too.  The view starts as a copy of the base and only
-loses candidates.  While the view is live, the base changes only in
-``dance_together``:
+loses candidates.  Until a commit or an adoption ends the minuet, the base
+changes only in ``dance_together``:
 
 - trick (a) narrows each base cell to the union of the two views' retained
   candidates, and inks only a digit both views have inked;
@@ -104,19 +106,11 @@ class MinuetState:
     starter: Starter
     circle: HypothesisView
     square: HypothesisView
-    rounds: int = 0
 
 
 @dataclass(slots=True)
 class SolveConfig:
     phase1_triples: bool = False
-    round_cap: int = 81
-
-    def __post_init__(self) -> None:
-        # a minuet capped at zero rounds returns "stuck" without dancing, so a
-        # cap below 1 would report every puzzle that needs Step 4 as a failure
-        if self.round_cap < 1:
-            raise ValueError(f"round_cap must be at least 1, got {self.round_cap}")
 
 
 @dataclass(slots=True)
@@ -125,6 +119,8 @@ class SolveStats:
     phase1_finds: int = 0
     step3_sweeps: int = 0
     starters_danced: int = 0
+    # minuets that returned: starters_danced on every solved outcome and
+    # conjecture failure; kept only because the golden stall digest hashes it
     minuet_rounds: int = 0
     commits: int = 0  # minuets that ended by committing the surviving view
 
@@ -349,8 +345,8 @@ def commit_retained(state: MinuetState, base: Grid,
     No Step-3 cleanup follows, because it could find nothing.  Lemma: after
     the commit the base equals the survivor's shadow, which is at a Step-3
     fixpoint.  Views never change after ``init_hypotheses``, so a view is
-    contradicted in a minuet's first round or never, and ``run_minuet``
-    commits before any ``dance_together`` has touched the base.
+    contradicted before any ``dance_together``, and ``run_minuet`` commits
+    before one has touched the base.
     ``init_hypotheses`` copied that base, which was at a Step-3 fixpoint, and
     ``dance_alone`` took the copy back to one.  The shadow narrows the base
     (module docstring), and a digit inked in the shadow is a candidate of
@@ -383,41 +379,36 @@ def _adopt(view: HypothesisView, base: Grid, events: list) -> None:
                                     step="commit", rule=rule))
 
 
-def run_minuet(base: Grid, starter: Starter, round_cap: int = 81,
-               *, trace: list | None = None) -> tuple[str, MinuetState]:
+def run_minuet(base: Grid, starter: Starter, *,
+               trace: list | None = None) -> tuple[str, MinuetState]:
     """Dance one starter to completion, contradiction-commit, or a stall.
 
     Returns ("solved" | "progress" | "stuck", state).  "stuck" with an
     unchanged base means this starter cannot help right now; all markings
-    (the views) are simply discarded.
+    (the views) are simply discarded.  ``commit_retained`` raises
+    BothContradicted when neither view survived.
 
-    The views are developed once, by ``init_hypotheses``; a round only reads
-    them.  The base changes only inside ``dance_together``, and a round
-    checks for a complete base right after that call, so the base a round
-    starts from is never complete.
+    One ``dance_together`` is the whole alternation of dancing alone and
+    together.  Lemma: a second call would change nothing.  The views are
+    fixed after ``init_hypotheses``, so dancing alone again finds nothing.
+    Trick (a) inks every cell both views solved alike and narrows every
+    other unsolved base cell to the union of the views' candidates.  Its
+    Step-3 cleanup leaves each cell at that union, because a live view still
+    narrows the base (module docstring).  So a second trick (a) has nothing
+    to ink or erase.
     """
     events = trace if trace is not None else []
     state = init_hypotheses(base, starter, events)
-    changed_total = False
-    for _ in range(round_cap):
-        state.rounds += 1
-        c_alive, s_alive = state.circle.alive, state.square.alive
-        if not c_alive and not s_alive:
-            raise BothContradicted(starter.describe())
-        if c_alive != s_alive:
-            commit_retained(state, base, events)
-            return "progress", state
-        for view in (state.circle, state.square):
-            if view.shadow.is_complete():
-                _adopt(view, base, events)
-                return "solved", state
-        changed = dance_together(state, base, events)
-        changed_total |= changed
-        if changed and base.is_complete():
+    if not (state.circle.alive and state.square.alive):
+        commit_retained(state, base, events)
+        return "progress", state
+    for view in (state.circle, state.square):
+        if view.shadow.is_complete():
+            _adopt(view, base, events)
             return "solved", state
-        if not changed:
-            return ("progress", state) if changed_total else ("stuck", state)
-    return "stuck", state
+    if not dance_together(state, base, events):
+        return "stuck", state
+    return ("solved" if base.is_complete() else "progress"), state
 
 
 def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
@@ -479,12 +470,12 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             starters_tried.append(starter.describe())
             stats.starters_danced += 1
             try:
-                outcome, state = run_minuet(grid, starter, cfg.round_cap, trace=trace)
+                outcome, state = run_minuet(grid, starter, trace=trace)
             except BothContradicted:
                 return ill_posed("both hypotheses contradicted: no solution exists")
             except ContradictionFound as e:
                 return ill_posed(str(e))
-            stats.minuet_rounds += state.rounds
+            stats.minuet_rounds += 1
             if outcome == "progress" and not (state.circle.alive and state.square.alive):
                 stats.commits += 1
             if grid.fingerprint() != before:

@@ -19,11 +19,11 @@ Quadruples would need 8+ unsolved cells and are rare enough that hunting
 them never pays, so they are deliberately not implemented.
 
 Every find is logged as one ``TraceEvent`` (step "3.1", "3.2" or "3.3"),
-and that event is the only record of it: the detectors return the events they
-appended, and ``step3_fixpoint`` counts a sweep's finds as the growth of
-the trace.  It tracks dirty structures (a structure is rescanned only after
-one of its cells changed), which skips provably find-free scans without
-altering finds, events, or the final grid.  Each scan returns the
+and that event is the only record of it: ``detect_singles`` returns the
+events it appended, and ``step3_fixpoint`` counts a sweep's finds as the
+growth of the trace.  It tracks dirty structures (a structure is rescanned
+only after one of its cells changed), which skips provably find-free scans
+without altering finds, events, or the final grid.  Each scan returns the
 structures its finds changed, as a 27-bit set.
 """
 
@@ -172,30 +172,6 @@ def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
     events = trace if trace is not None else []
     start = len(events)
     _scan_singles(grid, flat_structure(s), events, view)
-    return events[start:]
-
-
-def detect_doubles(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None, use_guards: bool = True) -> list[TraceEvent]:
-    """Find and clean up naked/hidden doubles in the structure.
-
-    Skipped when the structure has fewer than 4 unsolved cells (see the
-    module docstring).  A find is logged only when its cleanup actually
-    erased something.  Returns the events appended, one per find.
-    """
-    events = trace if trace is not None else []
-    start = len(events)
-    _scan_groups(grid, flat_structure(s), (2,), events, view, use_guards)
-    return events[start:]
-
-
-def detect_triples(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None, use_guards: bool = True) -> list[TraceEvent]:
-    """Find and clean up naked/hidden triples; skipped under 6 unsolved cells.
-    Returns the events appended, one per find."""
-    events = trace if trace is not None else []
-    start = len(events)
-    _scan_groups(grid, flat_structure(s), (3,), events, view, use_guards)
     return events[start:]
 
 

@@ -1,9 +1,9 @@
 import pytest
 
-from minuet_sudoku import cli, harness
+from minuet_sudoku import cli, harness, solve
 from minuet_sudoku.cli import main
 
-from puzzles import EASY, EASY_SOLUTION, MEDIUM, STALL
+from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
 
 
 def test_solve_command_prints_solution(capsys):
@@ -11,6 +11,15 @@ def test_solve_command_prints_solution(capsys):
     out = capsys.readouterr().out
     assert EASY_SOLUTION in out
     assert "solved:" in out
+
+
+def test_solve_command_prints_starter_and_commit_counts(capsys):
+    stats = solve(HARD).stats
+    assert stats.starters_danced > 0
+    assert main(["solve", HARD]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == (f"solved: {stats.starters_danced} minuet starter(s), "
+                         f"{stats.commits} commit(s)")
 
 
 @pytest.mark.parametrize("level", ["summary", "full"])

@@ -2,9 +2,8 @@ import pytest
 
 from minuet_sudoku import (AlreadySolved, BadChar, Grid, InconsistentGivens,
                            NotACandidate, Structure, WrongLength, brute_solve,
-                           cells_of_structure, check_consistency, parse_grid,
-                           place_ink, serialize_grid)
-from minuet_sudoku.grid import BIT, CELLS_OF, PEERS, STRUCTS_OF
+                           check_consistency, parse_grid, place_ink, serialize_grid)
+from minuet_sudoku.grid import BIT, CELLS_OF, PEERS, STRUCTS_OF, flat_structure
 
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
 
@@ -64,9 +63,11 @@ def test_roundtrip_over_corpus(full_corpus):
 
 
 def test_cells_of_structure():
-    assert cells_of_structure(Structure("row", 0)) == list(range(9))
-    assert set(cells_of_structure(Structure("box", 8))) == {60, 61, 62, 69, 70, 71, 78, 79, 80}
-    assert set(cells_of_structure(Structure("col", 4))) == {4, 13, 22, 31, 40, 49, 58, 67, 76}
+    assert list(CELLS_OF[flat_structure(Structure("row", 0))]) == list(range(9))
+    assert set(CELLS_OF[flat_structure(Structure("box", 8))]) == {60, 61, 62, 69, 70, 71,
+                                                                  78, 79, 80}
+    assert set(CELLS_OF[flat_structure(Structure("col", 4))]) == {4, 13, 22, 31, 40, 49,
+                                                                  58, 67, 76}
 
 
 def test_structure_cover_is_threefold():
@@ -138,7 +139,7 @@ def test_check_consistency_conflict():
 
 def test_check_consistency_starved():
     g = Grid()
-    for c in cells_of_structure(Structure("col", 2)):
+    for c in CELLS_OF[flat_structure(Structure("col", 2))]:
         g.masks[c] &= ~BIT[9]
     issue = check_consistency(g)
     assert issue.kind == "starved"

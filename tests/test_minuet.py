@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minuet_sudoku import (BothContradicted,
-                           HalfDoubleRegistry, NoStarters, SolveConfig, Starter,
+                           HalfDoubleRegistry, NoStarters, Starter,
                            brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
@@ -17,6 +17,7 @@ from minuet_sudoku.minuet import MinuetState, HypothesisView
 from conftest import dig_minimal, random_full_grid
 from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, STALL,
                      TRICKY, TRICKY_SOLUTION, random_isomorph)
+from test_golden_trace import stall_puzzles
 
 
 def at_fixpoint(puzzle: str) -> Grid:
@@ -393,10 +394,9 @@ def test_commit_inks_survivor_solves_and_narrows():
 def test_run_minuet_progress_records_new_ink():
     g = at_fixpoint(HARD)
     before = g.inked_count()
-    outcome, state = run_minuet(g, enumerate_starters(g)[0])
+    outcome, _ = run_minuet(g, enumerate_starters(g)[0])
     assert outcome in ("progress", "solved")
     assert g.inked_count() > before
-    assert state.rounds >= 1
 
 
 def test_run_minuet_stuck_leaves_base_bit_identical():
@@ -408,21 +408,27 @@ def test_run_minuet_stuck_leaves_base_bit_identical():
         assert g.fingerprint() == snap
 
 
-def test_run_minuet_round_cap_returns_stuck():
-    g = at_fixpoint(HARD)
-    snap = g.fingerprint()
-    outcome, _ = run_minuet(g, enumerate_starters(g)[0], round_cap=0)
-    assert outcome == "stuck"
-    assert g.fingerprint() == snap
+def test_each_minuet_dances_together_at_most_once(hard_corpus, monkeypatch):
+    """One dance together is the whole iteration (run_minuet's lemma), so
+    minuet_rounds counts one per starter danced."""
+    dances = []  # dance_together calls per run_minuet call
+    real_dance_together, real_run = minuet.dance_together, minuet.run_minuet
 
+    def dance_together(*args, **kwargs):
+        dances[-1] += 1
+        return real_dance_together(*args, **kwargs)
 
-@pytest.mark.parametrize("cap", [0, -1])
-def test_solve_config_rejects_a_round_cap_below_one(cap):
-    # with no round to dance, every minuet would be "stuck" and a well-posed
-    # puzzle that needs Step 4 would be reported as a conjecture failure
-    with pytest.raises(ValueError, match="round_cap"):
-        SolveConfig(round_cap=cap)
-    assert solve(HARD, SolveConfig(round_cap=1)).status == "solved"
+    def run(*args, **kwargs):
+        dances.append(0)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(minuet, "dance_together", dance_together)
+    monkeypatch.setattr(minuet, "run_minuet", run)
+    for puzzle in hard_corpus + stall_puzzles():
+        outcome = solve(puzzle)
+        assert outcome.status in ("solved", "conjecture_failure"), puzzle
+        assert outcome.stats.minuet_rounds == outcome.stats.starters_danced, puzzle
+    assert max(dances) == 1
 
 
 # --- solve ------------------------------------------------------------------

@@ -3,16 +3,26 @@ from itertools import chain, combinations
 
 import pytest
 
-from minuet_sudoku import (ContradictionFound, Structure, brute_solve,
-                           detect_doubles, detect_singles, detect_triples,
+from minuet_sudoku import (ContradictionFound, Structure, brute_solve, detect_singles,
                            enumerate_starters, parse_grid, phase2, place_ink,
                            serialize_grid, step3_fixpoint)
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF,
-                                STRUCTURES, Grid, cells_at, digit_positions, mask_of)
+                                STRUCTURES, Grid, cells_at, digit_positions,
+                                flat_structure, mask_of)
 from minuet_sudoku.trace import TraceEvent
 
 from conftest import random_full_grid
 from puzzles import EASY, HARD, MEDIUM, STALL, TRICKY, random_isomorph
+
+
+def scan_groups(grid: Grid, s: Structure, k: int, trace: list | None = None,
+                use_guards: bool = True) -> list[TraceEvent]:
+    """Scan one structure for groups of size ``k`` (2 doubles, 3 triples)
+    as Step 3 does; returns the events appended, one per find."""
+    events = trace if trace is not None else []
+    start = len(events)
+    phase2._scan_groups(grid, flat_structure(s), (k,), events, None, use_guards)
+    return events[start:]
 
 
 def masked_grid(cell_masks: dict[int, set[int]]) -> Grid:
@@ -75,7 +85,7 @@ def test_rule_22_scenario_is_caught_as_hidden_single():
 
 def test_naked_double_cleans_column():
     g = masked_grid({2: {2, 7}, 29: {2, 7}})
-    finds = detect_doubles(g, Structure("col", 2))
+    finds = scan_groups(g, Structure("col", 2), 2)
     assert any(f.rule == "naked double" and set(f.cells) == {2, 29} for f in finds)
     for c in CELLS_OF[9 + 2]:
         if c not in (2, 29):
@@ -88,7 +98,7 @@ def test_hidden_double_strips_foreign_candidates():
     for c in CELLS_OF[18 + 4]:
         if c not in (30, 40):
             g.masks[c] &= ~(BIT[3] | BIT[8])
-    finds = detect_doubles(g, Structure("box", 4))
+    finds = scan_groups(g, Structure("box", 4), 2)
     assert any(f.rule == "hidden double" and set(f.digits) == {3, 8} for f in finds)
     assert g.candidates(30) == {3, 8}
     assert g.candidates(40) == {3, 8}
@@ -96,7 +106,7 @@ def test_hidden_double_strips_foreign_candidates():
 
 def test_naked_double_in_shared_row_and_box_cleans_both():
     g = masked_grid({0: {2, 7}, 1: {2, 7}})  # same row and same box
-    detect_doubles(g, Structure("row", 0))
+    scan_groups(g, Structure("row", 0), 2)
     for c in CELLS_OF[0]:
         if c not in (0, 1):
             assert not g.masks[c] & (BIT[2] | BIT[7])
@@ -113,13 +123,13 @@ def test_doubles_guard_skips_small_structures():
     g.masks[6] = mask_of({7, 8})
     g.masks[7] = mask_of({7, 8})
     g.masks[8] = mask_of({7, 8, 9})
-    assert detect_doubles(g, Structure("row", 0)) == []
-    assert detect_doubles(g, Structure("row", 0), use_guards=False) != []
+    assert scan_groups(g, Structure("row", 0), 2) == []
+    assert scan_groups(g, Structure("row", 0), 2, use_guards=False) != []
 
 
 def test_naked_triple_from_paired_cells():
     g = masked_grid({0: {5, 6}, 1: {6, 8}, 2: {5, 8}})
-    finds = detect_triples(g, Structure("row", 0))
+    finds = scan_groups(g, Structure("row", 0), 3)
     assert any(f.rule == "naked triple" and f.digits == (5, 6, 8) for f in finds)
     for c in CELLS_OF[0][3:]:
         assert not g.masks[c] & mask_of({5, 6, 8})
@@ -127,7 +137,7 @@ def test_naked_triple_from_paired_cells():
 
 def test_naked_triple_with_embedded_pair():
     g = masked_grid({9: {3, 6}, 10: {3, 7}, 11: {3, 6, 7}})
-    finds = detect_triples(g, Structure("row", 1))
+    finds = scan_groups(g, Structure("row", 1), 3)
     assert any(f.rule == "naked triple" and f.digits == (3, 6, 7) for f in finds)
 
 
@@ -141,8 +151,8 @@ def test_triples_guard_skips_under_six_unsolved():
     g.masks[6] = mask_of({5, 8})
     g.masks[7] = mask_of({5, 6, 8, 9})
     g.masks[8] = mask_of({5, 6, 8, 9})
-    assert detect_triples(g, Structure("row", 0)) == []
-    assert detect_triples(g, Structure("row", 0), use_guards=False) != []
+    assert scan_groups(g, Structure("row", 0), 3) == []
+    assert scan_groups(g, Structure("row", 0), 3, use_guards=False) != []
 
 
 def test_step3_solves_medium_puzzle():
@@ -175,8 +185,8 @@ def full_sweeps(grid: Grid, events: list) -> list[int]:
         n = 0
         for s in STRUCTURES:
             n += len(detect_singles(grid, s, trace=events))
-            n += len(detect_doubles(grid, s, trace=events))
-            n += len(detect_triples(grid, s, trace=events))
+            n += len(scan_groups(grid, s, 2, trace=events))
+            n += len(scan_groups(grid, s, 3, trace=events))
         per_sweep.append(n)
         if not n:
             return per_sweep
@@ -498,6 +508,6 @@ def test_cleanup_soundness_on_random_positions():
 def test_trace_events_record_eliminations():
     g = masked_grid({2: {2, 7}, 29: {2, 7}})
     events = []
-    detect_doubles(g, Structure("col", 2), trace=events)
+    scan_groups(g, Structure("col", 2), 2, trace=events)
     assert events and events[0].rule == "naked double"
     assert all(d in (2, 7) for _, d in events[0].erased)
