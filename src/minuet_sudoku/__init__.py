@@ -8,8 +8,7 @@ from .grid import (Grid, Structure, ConsistencyIssue, GridError, WrongLength,
                    check_consistency)
 from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
-from .phase1 import (HalfDoubleRegistry, Phase1Run, available_cells, step1_scan,
-                     step1_fixpoint, step2_fill)
+from .phase1 import HalfDoubleRegistry, Phase1Run, step1_fixpoint, step2_fill
 from .phase2 import FixpointRun, detect_singles, step3_fixpoint
 from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
                      SolveStats, SolveOutcome, FailureReport, NoStarters,

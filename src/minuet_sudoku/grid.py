@@ -69,14 +69,6 @@ def flat_structure(s: Structure) -> int:
     return offset + s.index
 
 
-def shared_structures(cells) -> tuple[int, ...]:
-    """Flat ids, ascending, of the structures that contain all the cells."""
-    board = 0
-    for c in cells:
-        board |= 1 << c
-    return tuple(s for s in STRUCTS_OF[cells[0]] if STRUCT_BITS[s] & board == board)
-
-
 def digit_positions(masks: list[int], s: int) -> list[int]:
     """Structure ``s`` as a digit -> positions table: bit ``i`` of entry ``d``
     is set when ``d`` is a candidate of ``CELLS_OF[s][i]``.  Cells ascend, so
@@ -167,9 +159,6 @@ class Grid:
         if not isinstance(other, Grid):
             return NotImplemented
         return self.solved == other.solved and self.masks == other.masks
-
-    def fingerprint(self) -> tuple:
-        return (tuple(self.solved), tuple(self.masks))
 
     def candidates(self, cell: int) -> set[int]:
         return set(DIGITS_OF[self.masks[cell]])

@@ -230,7 +230,7 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     attempted = [r for r in results if r.status in ("solved", "failure")]
     bound = None
     if failures == 0 and well_posed >= 1:
-        bound = confidence_upper_bound(well_posed, 0, level)
+        bound = confidence_upper_bound(well_posed, level)
     stats = BatchStats(
         puzzles=len(results), well_posed=well_posed, solved=solved,
         failures=failures, ill_posed=ill, errors=errors,
@@ -277,17 +277,15 @@ def validate_report(report: FailureReport,
                 f"residual cell {c} lost the solution digit {d}: a rule is unsound")
 
 
-def confidence_upper_bound(n: int, failures: int, level: float = 0.90) -> float:
+def confidence_upper_bound(n: int, level: float = 0.90) -> float:
     """Largest failure rate p with P(0 failures in n | p) >= 1 - level.
 
-    The exact zero-failure bound: 1 - (1 - level)^(1/n).  Only the
-    zero-failure case is supported; with observed failures the counterexample
-    reports speak for themselves.
+    The exact zero-failure bound over ``n`` clean solves:
+    1 - (1 - level)^(1/n).  With observed failures the counterexample reports
+    speak for themselves.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if failures != 0:
-        raise ValueError("only the zero-failure exact bound is supported")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     return 1.0 - (1.0 - level) ** (1.0 / n)

@@ -383,10 +383,15 @@ def run_minuet(base: Grid, starter: Starter, *,
                trace: list | None = None) -> tuple[str, MinuetState]:
     """Dance one starter to completion, contradiction-commit, or a stall.
 
-    Returns ("solved" | "progress" | "stuck", state).  "stuck" with an
-    unchanged base means this starter cannot help right now; all markings
-    (the views) are simply discarded.  ``commit_retained`` raises
-    BothContradicted when neither view survived.
+    Returns ("solved" | "progress" | "stuck", state).  "stuck" means this
+    starter cannot help right now; all markings (the views) are simply
+    discarded.  ``commit_retained`` raises BothContradicted when neither view
+    survived.
+
+    Lemma: the outcome is "stuck" exactly when the base is unchanged.  A
+    starter's choices are candidates of unsolved base cells.  A commit inks
+    the survivor's choice there, an adoption inks every unsolved cell, and
+    ``dance_together`` returns True only after it inked or erased something.
 
     One ``dance_together`` is the whole alternation of dancing alone and
     together.  Lemma: a second call would change nothing.  The views are
@@ -466,7 +471,6 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
         except NoStarters:
             return failure("no_starters")
         for starter in starters:
-            before = grid.fingerprint()
             starters_tried.append(starter.describe())
             stats.starters_danced += 1
             try:
@@ -478,7 +482,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             stats.minuet_rounds += 1
             if outcome == "progress" and not (state.circle.alive and state.square.alive):
                 stats.commits += 1
-            if grid.fingerprint() != before:
+            if outcome != "stuck":
                 break
         else:
             return failure("all_starters_stuck")

@@ -11,8 +11,8 @@ other digit.
 
 Every find is logged as one ``TraceEvent``: an ink under step "1.1" (hidden
 and passive singles), a half double under "1.2", a hidden double or triple
-under "1.3".  The event is the only record of a find; ``step1_scan`` returns
-the events its pass appended, and ``step1_fixpoint`` counts them per pass.
+under "1.3".  The event is the only record of a find; ``step1_fixpoint`` counts
+them per pass.
 
 Step 1 keeps asking which cells of a box are still open to a digit.  It
 answers from bitboards: 81-bit ints in which bit ``c`` stands for cell ``c``.
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
-from .grid import (ALL_DIGITS, BIT, BOX_OF, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCTURES,
-                   STRUCTS_OF, ContradictionFound, Grid, Structure, block_group, mask_of,
-                   place_ink, shared_structures)
+from .grid import (ALL_DIGITS, BIT, BOX_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF,
+                   STRUCTURES, STRUCTS_OF, ContradictionFound, Grid, Structure, block_group,
+                   mask_of, place_ink)
 from .trace import TraceEvent
 
 
@@ -60,6 +60,9 @@ class HalfDoubleRegistry:
     or a cell becomes unavailable (Rule 22 fires at that moment).
     ``claim_groups`` holds hidden doubles/triples: their cells are closed to
     all other digits (Rule 21).
+
+    Only Step 1 writes a registry: pass ``step1_fixpoint`` an empty one, or
+    one an earlier ``step1_fixpoint`` filled on the same grid.  Step 2 reads it.
     """
 
     def __init__(self):
@@ -67,16 +70,14 @@ class HalfDoubleRegistry:
         self.claim_groups: list[tuple[tuple[int, ...], int]] = []
         self.claimed: dict[int, int] = {}
 
-    def claim(self, cells: tuple[int, ...], mask: int) -> None:
-        self.claim_groups.append((cells, mask))
-        for c in cells:
-            self.claimed[c] = mask
-
 
 @cache
 def _line_bits(cells: tuple[int, ...]) -> tuple[int, int]:
     """Rest of the row or column holding all ``cells``, and its boxes, or (0, 0)."""
-    s = min(shared_structures(cells), default=18)
+    shared = STRUCT_SET_OF[cells[0]]
+    for c in cells:
+        shared &= STRUCT_SET_OF[c]
+    s = (shared & -shared).bit_length() - 1  # lowest id: a row, a column or the box
     if s >= 18:
         return 0, 0
     return STRUCT_BITS[s] & ~sum(1 << c for c in cells), BOXES_OF[s]
@@ -134,17 +135,14 @@ class _Bitboards:
         return ev
 
     def record(self, bx: int, d: int, pair: tuple[int, int]) -> None:
-        self.forget(bx, d)
         self.registry.entries[(bx, d)] = pair
         bits, boxes = _line_bits(pair)
         self.pencil[d] |= bits
         self._mark(boxes << 9 * d)
 
     def forget(self, bx: int, d: int) -> None:
-        # No mark: reopened cells cannot make a scan or Rule 22 find anything.
-        pair = self.registry.entries.pop((bx, d), None)
-        if pair and _line_bits(pair)[0] & ~self.ink_lines[d]:
-            self.pencil[d] = _pencil_bits(self.registry)[d]
+        # Nothing to reopen (the lemma in step1_fixpoint's docstring).
+        self.registry.entries.pop((bx, d), None)
 
     def claim(self, bx: int, cells: tuple[int, ...], digits: tuple[int, ...], rule: str,
               events: list) -> None:
@@ -155,7 +153,9 @@ class _Bitboards:
             for dx in DIGITS_OF[masks[c] & ~gm]:
                 masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        self.registry.claim(cells, gm)
+        self.registry.claim_groups.append((cells, gm))
+        for c in cells:
+            self.registry.claimed[c] = gm
         (bits, boxes), own = _line_bits(cells), sum(1 << c for c in cells)
         for d in range(1, 10):
             self.pencil[d] |= bits if gm & BIT[d] else own
@@ -163,19 +163,6 @@ class _Bitboards:
         events.append(TraceEvent("1.3", rule, structure=STRUCTURES[18 + bx],
                                  cells=cells, digits=digits, erased=tuple(erased)))
         _eager_rule22(self, events)
-
-
-def available_cells(grid: Grid, registry: HalfDoubleRegistry, box: Structure,
-                    d: int) -> set[int]:
-    """Cells of the box still open to ``d``: not inked, not closed off by a
-    claimed double/triple, and not covered by a row/column that blocks ``d``."""
-    if box.kind != "box":
-        raise ValueError("available_cells scans boxes only")
-    bx, boards = box.index, _Bitboards(grid, registry)
-    if boards.held >> 9 * d + bx & 1:
-        raise ValueError(f"digit {d} is already inked in box {bx}")
-    open_bits = BOX_BITS[bx] & ~(boards.inked | boards.ink_lines[d] | boards.pencil[d])
-    return {c for c in CELLS_OF[18 + bx] if open_bits >> c & 1}
 
 
 def _eager_rule22(boards: _Bitboards, events: list) -> None:
@@ -265,24 +252,22 @@ def _pass(boards: _Bitboards, triples_enabled: bool, events: list) -> None:
             _try_corollaries(boards, bx, d, pair, triples_enabled, events)
 
 
-def step1_scan(grid: Grid, registry: HalfDoubleRegistry, triples_enabled: bool = False,
-               *, trace: list | None = None) -> list[TraceEvent]:
-    """One full pass over (digit 1..9) x (box 0..8), applying finds in place.
-
-    Returns the events this pass appended, one per find.  An unchanged half
-    double re-registers silently; only new registrations, inks and claims
-    count as finds.  Raises ContradictionFound when a digit has no available
-    cell in a box that does not contain it.
-    """
-    events = trace if trace is not None else []
-    start = len(events)
-    _pass(_Bitboards(grid, registry), triples_enabled, events)
-    return events[start:]
-
-
 def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
                    triples_enabled: bool = False, *, trace: list | None = None) -> Phase1Run:
-    """Repeat Step-1 passes on one set of bitboards until a pass finds nothing."""
+    """Repeat Step-1 passes on one set of bitboards until a pass finds nothing.
+
+    ``registry`` is empty, or was filled by an earlier ``step1_fixpoint`` on
+    this grid (rerunning Step 1 on its own registry finds nothing new).
+
+    Forgetting a half double reopens no cell.  Lemma: Step 1 forgets an entry
+    only after its digit is inked in the box at one of the pair's cells, so
+    ``ink_lines[d]`` already closes the rest of the pair's line.  The pair
+    was the box's only open cells for the digit, open sets only shrink, and
+    Step 1 inks a hidden single or an entry's passive single at an open
+    cell.  A claimed cell's passive single could land off the pair only on a
+    grid with no solution, where the line then stays closed: every Step-1
+    find keeps every solution, and the pair holds the digit's cell in each.
+    """
     events = trace if trace is not None else []
     boards, run = _Bitboards(grid, registry), Phase1Run()
     while not run.finds_per_pass or run.finds_per_pass[-1]:

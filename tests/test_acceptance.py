@@ -61,7 +61,7 @@ def test_criterion_2_conjecture_reproduction(hard_corpus):
     assert result.stats.failures == 0, (
         "validated counterexample reports emitted: "
         + "; ".join(str(line) for line, _ in result.reports))
-    bound = confidence_upper_bound(result.stats.well_posed, 0, 0.90)
+    bound = confidence_upper_bound(result.stats.well_posed, 0.90)
     assert bound < 0.01
     print(f"\nACCEPTANCE 2 PASS - {result.stats.well_posed} hard puzzles, "
           f"0 conjecture failures, failure-rate bound {bound * 100:.3f}% < 1% "
@@ -131,15 +131,15 @@ def test_criterion_5_fixpoint_idempotence(full_corpus):
         g = parse_grid(puzzle)
         registry = HalfDoubleRegistry()
         step1_fixpoint(g, registry)
-        snap = g.fingerprint()
+        snap = g.copy()
         rerun = step1_fixpoint(g, registry)
-        assert g.fingerprint() == snap
+        assert g == snap
         assert rerun.finds_per_pass == [0]
         step2_fill(g, registry)
         step3_fixpoint(g)
-        snap = g.fingerprint()
+        snap = g.copy()
         rerun3 = step3_fixpoint(g)
-        assert g.fingerprint() == snap
+        assert g == snap
         assert sum(rerun3.finds_per_sweep) == 0
     print(f"\nACCEPTANCE 5 PASS - step1/step3 fixpoints idempotent on "
           f"{len(full_corpus)} puzzles")
@@ -217,10 +217,10 @@ def test_criterion_8_sixteen_given_fast_path(solutions, monkeypatch):
 
 def test_criterion_9_confidence_bound_math():
     for n in (1, 10, 100, 230, 1000):
-        bound = confidence_upper_bound(n, 0, 0.90)
+        bound = confidence_upper_bound(n, 0.90)
         assert math.isclose((1 - bound) ** n, 0.10, abs_tol=1e-12)
-    assert confidence_upper_bound(230, 0, 0.90) < 0.01
-    assert confidence_upper_bound(100, 0, 0.90) > 0.01
+    assert confidence_upper_bound(230, 0.90) < 0.01
+    assert confidence_upper_bound(100, 0.90) > 0.01
     print("\nACCEPTANCE 9 PASS - exact zero-failure bound identity holds to "
           "1e-12; n=230 certifies <1% at 90%, n=100 does not")
 

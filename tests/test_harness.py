@@ -172,7 +172,7 @@ def test_batch_keeps_going_past_a_puzzle_that_raises(tmp_path, monkeypatch, jobs
     assert (stats.solved, stats.failures, stats.ill_posed, stats.errors) == (3, 0, 0, 1)
     assert stats.well_posed == 3 and len(stats.times) == 3
     assert len(stats.oracle_times) == 4  # the raising entry passed its oracle check
-    assert stats.confidence_bound == pytest.approx(confidence_upper_bound(3, 0, 0.90))
+    assert stats.confidence_bound == pytest.approx(confidence_upper_bound(3, 0.90))
     assert "errors:               1" in stats.render()
 
 
@@ -331,11 +331,11 @@ def test_render_p90_is_the_nearest_rank():
 # --- confidence bound ---------------------------------------------------------
 
 def test_confidence_bound_single_trial():
-    assert confidence_upper_bound(1, 0, 0.90) == pytest.approx(0.9)
+    assert confidence_upper_bound(1, 0.90) == pytest.approx(0.9)
 
 
 def test_confidence_bound_230_trials_is_under_one_percent():
-    bound = confidence_upper_bound(230, 0, 0.90)
+    bound = confidence_upper_bound(230, 0.90)
     assert bound == pytest.approx(1 - 0.1 ** (1 / 230))
     assert bound < 0.01
     # cross-check: zero failures in 230 trials at this rate has 10% probability
@@ -343,29 +343,27 @@ def test_confidence_bound_230_trials_is_under_one_percent():
 
 
 def test_confidence_bound_100_trials_exceeds_one_percent():
-    assert confidence_upper_bound(100, 0, 0.90) > 0.01
+    assert confidence_upper_bound(100, 0.90) > 0.01
 
 
 def test_confidence_bound_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        confidence_upper_bound(0, 0, 0.9)
+        confidence_upper_bound(0, 0.9)
     with pytest.raises(ValueError):
-        confidence_upper_bound(100, 1, 0.9)
-    with pytest.raises(ValueError):
-        confidence_upper_bound(100, 0, 1.0)
+        confidence_upper_bound(100, 1.0)
 
 
 @given(n=st.integers(min_value=1, max_value=100000),
        level=st.floats(min_value=0.01, max_value=0.999))
 @settings(max_examples=200)
 def test_confidence_bound_identity(n, level):
-    bound = confidence_upper_bound(n, 0, level)
+    bound = confidence_upper_bound(n, level)
     assert 0.0 < bound < 1.0
     assert math.isclose((1 - bound) ** n, 1 - level, abs_tol=1e-12)
 
 
 def test_confidence_bound_decreases_with_n():
-    bounds = [confidence_upper_bound(n, 0, 0.9) for n in (1, 10, 100, 230, 1000)]
+    bounds = [confidence_upper_bound(n, 0.9) for n in (1, 10, 100, 230, 1000)]
     assert bounds == sorted(bounds, reverse=True)
 
 

@@ -188,12 +188,12 @@ def test_views_only_narrow_the_base():
 def test_dance_alone_is_noop_at_fixpoint():
     g = at_fixpoint(STALL)
     state = two_view_state(g, enumerate_starters(g)[0])
-    snap = state.circle.shadow.fingerprint()
+    snap = state.circle.shadow.copy()
     events = []
     dance_alone(state.circle, set(), events)
     assert events == []
     assert state.circle.alive
-    assert state.circle.shadow.fingerprint() == snap
+    assert state.circle.shadow == snap
 
 
 def test_dance_alone_records_a_step3_contradiction():
@@ -401,16 +401,17 @@ def test_run_minuet_progress_records_new_ink():
 
 def test_run_minuet_stuck_leaves_base_bit_identical():
     g = at_fixpoint(STALL)
-    snap = g.fingerprint()
+    snap = g.copy()
     for starter in enumerate_starters(g):
         outcome, _ = run_minuet(g, starter)
         assert outcome == "stuck"
-        assert g.fingerprint() == snap
+        assert g == snap
 
 
 def test_each_minuet_dances_together_at_most_once(hard_corpus, monkeypatch):
     """One dance together is the whole iteration (run_minuet's lemma), so
-    minuet_rounds counts one per starter danced."""
+    minuet_rounds counts one per starter danced; and a minuet is "stuck"
+    exactly when it leaves the base unchanged (the lemma solve() relies on)."""
     dances = []  # dance_together calls per run_minuet call
     real_dance_together, real_run = minuet.dance_together, minuet.run_minuet
 
@@ -418,9 +419,12 @@ def test_each_minuet_dances_together_at_most_once(hard_corpus, monkeypatch):
         dances[-1] += 1
         return real_dance_together(*args, **kwargs)
 
-    def run(*args, **kwargs):
+    def run(base, *args, **kwargs):
         dances.append(0)
-        return real_run(*args, **kwargs)
+        before = base.copy()
+        outcome, state = real_run(base, *args, **kwargs)
+        assert (outcome != "stuck") == (base != before)
+        return outcome, state
 
     monkeypatch.setattr(minuet, "dance_together", dance_together)
     monkeypatch.setattr(minuet, "run_minuet", run)

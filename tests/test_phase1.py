@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from minuet_sudoku import (ContradictionFound, HalfDoubleRegistry, Structure,
-                           available_cells, brute_solve, parse_grid, place_ink,
-                           serialize_grid, step1_fixpoint, step1_scan, step2_fill)
+from minuet_sudoku import (ContradictionFound, HalfDoubleRegistry, Structure, brute_solve,
+                           parse_grid, place_ink, serialize_grid, step1_fixpoint,
+                           step2_fill)
 from minuet_sudoku import phase1
 from minuet_sudoku.grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF,
                                 STRUCT_BITS, Grid, mask_of)
@@ -22,46 +22,11 @@ def grid_with(assignments: dict[int, int]) -> Grid:
     return parse_grid("".join(chars))
 
 
-def test_available_cells_row_and_column_cover():
-    # digit 5 inked in two rows crossing box 4 and one crossing column
-    g = grid_with({27: 5, 44: 5, 4: 5})  # r4c1, r5c9, r1c5 (1-based)
-    avail = available_cells(g, HalfDoubleRegistry(), Structure("box", 4), 5)
-    assert avail == {48, 50}
-    assert len(avail) <= 2
-
-
-def test_available_cells_eight_inked_cells():
-    g = grid_with({0: 1, 1: 2, 2: 3, 9: 4, 10: 5, 11: 6, 18: 7, 19: 8})
-    avail = available_cells(g, HalfDoubleRegistry(), Structure("box", 0), 9)
-    assert avail == {20}
-
-
-def test_available_cells_requires_box():
-    with pytest.raises(ValueError):
-        available_cells(Grid(), HalfDoubleRegistry(), Structure("row", 0), 1)
-
-
-def test_available_cells_contains_true_cell_on_random_positions():
-    rng = random.Random(11)
-    for _ in range(10):
-        sol = random_full_grid(rng)
-        chars = list(sol)
-        for c in rng.sample(range(81), 50):
-            chars[c] = "."
-        g = parse_grid("".join(chars))
-        registry = HalfDoubleRegistry()
-        step1_fixpoint(g, registry)
-        for b in range(9):
-            box_cells = CELLS_OF[18 + b]
-            for d in range(1, 10):
-                if any(g.solved[c] == d for c in box_cells):
-                    continue
-                true_cell = next(c for c in box_cells if int(sol[c]) == d)
-                assert true_cell in available_cells(g, registry, Structure("box", b), d)
-
-
 def reference_available(g: Grid, registry: HalfDoubleRegistry, bx: int, d: int) -> set[int]:
-    """The rule in available_cells' docstring, cell by cell."""
+    """The paper's rule, cell by cell: the cells of box ``bx`` still open to
+    ``d`` are not inked, not claimed without ``d``, not on a row or column
+    holding a ``d``, and not on the line of a half double or claim of ``d``
+    unless in it."""
     groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
     groups += [cells for cells, m in registry.claim_groups if m & BIT[d]]
     out = set()
@@ -80,36 +45,47 @@ def reference_available(g: Grid, registry: HalfDoubleRegistry, bx: int, d: int) 
     return out
 
 
-def test_available_cells_matches_reference_rule():
-    rng = random.Random(23)
-    for trial in range(12):
-        chars = list(random_full_grid(rng))
-        for c in rng.sample(range(81), rng.randrange(45, 60)):
+def test_available_cells_row_and_column_cover():
+    # digit 5 inked in two rows crossing box 4 and one crossing column
+    g = grid_with({27: 5, 44: 5, 4: 5})  # r4c1, r5c9, r1c5 (1-based)
+    registry = HalfDoubleRegistry()
+    step1_fixpoint(g, registry)
+    assert registry.entries[(4, 5)] == (48, 50)
+
+
+def test_available_cells_eight_inked_cells():
+    g = grid_with({0: 1, 1: 2, 2: 3, 9: 4, 10: 5, 11: 6, 18: 7, 19: 8})
+    events = []
+    step1_fixpoint(g, HalfDoubleRegistry(), trace=events)
+    assert any(e.rule == "hidden single" and e.cells == (20,) and e.digits == (9,)
+               for e in events)
+    assert g.solved[20] == 9
+
+
+def test_available_cells_contains_true_cell_on_random_positions():
+    rng = random.Random(11)
+    for _ in range(10):
+        sol = random_full_grid(rng)
+        chars = list(sol)
+        for c in rng.sample(range(81), 50):
             chars[c] = "."
         g = parse_grid("".join(chars))
         registry = HalfDoubleRegistry()
-        step1_fixpoint(g, registry, triples_enabled=trial % 2 == 1)
-        # extra pencil marks written straight into the registry, as callers may
-        for _ in range(3):
-            bx = rng.randrange(9)
-            box = CELLS_OF[18 + bx]
-            registry.entries[(bx, rng.randrange(1, 10))] = tuple(sorted(rng.sample(box, 2)))
-            digits = rng.sample(range(1, 10), 3)
-            registry.claim(tuple(sorted(rng.sample(box, rng.choice((2, 3))))),
-                           BIT[digits[0]] | BIT[digits[1]] | BIT[digits[2]])
+        step1_fixpoint(g, registry)
         for b in range(9):
+            box_cells = CELLS_OF[18 + b]
             for d in range(1, 10):
-                if any(g.solved[c] == d for c in CELLS_OF[18 + b]):
+                if any(g.solved[c] == d for c in box_cells):
                     continue
-                assert (available_cells(g, registry, Structure("box", b), d)
-                        == reference_available(g, registry, b, d)), (trial, b, d)
+                true_cell = next(c for c in box_cells if int(sol[c]) == d)
+                assert true_cell in reference_available(g, registry, b, d)
 
 
 def test_step1_hidden_single_when_one_cell_remains():
     # digit 1 blocked from rows 1, 2 and column 2 of box 0 -> cell 0 is forced
     g = grid_with({14: 1, 24: 1, 56: 1, 37: 1})
-    registry = HalfDoubleRegistry()
-    finds = step1_scan(g, registry)
+    finds = []
+    step1_fixpoint(g, HalfDoubleRegistry(), trace=finds)
     assert any(f.rule == "hidden single" and f.cells == (0,) and f.digits == (1,)
                for f in finds)
     assert g.solved[0] == 1
@@ -118,8 +94,8 @@ def test_step1_hidden_single_when_one_cell_remains():
 def test_step1_half_double_and_corollary_13a():
     # digits 1 and 2 each fit only cells 0 and 1 of box 0
     g = grid_with({13: 1, 14: 2, 24: 1, 25: 2, 56: 1, 65: 2})
-    registry = HalfDoubleRegistry()
-    finds = step1_scan(g, registry)
+    registry, finds = HalfDoubleRegistry(), []
+    step1_fixpoint(g, registry, trace=finds)
     rules = {(f.rule, f.digits) for f in finds}
     assert ("half double", (1,)) in rules
     assert ("half double", (2,)) in rules
@@ -134,8 +110,8 @@ def test_step1_passive_single_rule_22():
     # column 0, which blocks cell 0 and forces the second half-double cell
     g = grid_with({14: 1, 24: 1, 56: 1,
                    27: 2, 28: 3, 29: 4, 37: 5, 38: 6, 45: 7, 46: 8, 47: 9})
-    registry = HalfDoubleRegistry()
-    finds = step1_scan(g, registry)
+    finds = []
+    step1_fixpoint(g, HalfDoubleRegistry(), trace=finds)
     assert any(f.rule == "half double" and f.cells == (0, 1) and f.digits == (1,)
                for f in finds)
     assert any(f.rule == "hidden single" and f.cells == (36,) and f.digits == (1,)
@@ -147,15 +123,10 @@ def test_step1_passive_single_rule_22():
 
 def test_step1_contradiction_when_digit_has_no_cell():
     # rows 0 and 1 carry an inked 1 outside box 0, and the remaining box row
-    # is claimed by a triple that excludes 1: nowhere left for the digit
-    g = grid_with({3: 1, 15: 1})
-    registry = HalfDoubleRegistry()
-    claim = BIT[5] | BIT[6] | BIT[7]
-    registry.claim((18, 19, 20), claim)
-    for c in (18, 19, 20):
-        g.masks[c] &= claim
-    with pytest.raises(ContradictionFound):
-        step1_scan(g, registry)
+    # is inked with other digits: nowhere left for the digit
+    g = grid_with({3: 1, 15: 1, 18: 5, 19: 6, 20: 7})
+    with pytest.raises(ContradictionFound, match="starved"):
+        step1_fixpoint(g, HalfDoubleRegistry())
 
 
 def test_step1_fixpoint_idempotent_with_shared_registry():
@@ -163,9 +134,9 @@ def test_step1_fixpoint_idempotent_with_shared_registry():
     registry = HalfDoubleRegistry()
     run1 = step1_fixpoint(g, registry)
     assert run1.finds_per_pass[-1] == 0
-    snap = g.fingerprint()
+    snap = g.copy()
     run2 = step1_fixpoint(g, registry)
-    assert g.fingerprint() == snap
+    assert g == snap
     assert run2.finds_per_pass == [0]
 
 
@@ -183,7 +154,7 @@ def test_step1_trace_is_reproducible():
         reg = HalfDoubleRegistry()
         events = []
         step1_fixpoint(g, reg, trace=events)
-        return [(e.step, e.rule, e.cells, e.digits) for e in events], g.fingerprint()
+        return [(e.step, e.rule, e.cells, e.digits) for e in events], g
     assert run() == run()
 
 
@@ -198,7 +169,7 @@ def test_step2_half_double_blocks_row_and_box():
     # half double of 1 on cells {0, 1}: same row and same box
     g = grid_with({13: 1, 24: 1, 56: 1})
     registry = HalfDoubleRegistry()
-    step1_scan(g, registry)
+    step1_fixpoint(g, registry)
     assert registry.entries[(0, 1)] == (0, 1)
     step2_fill(g, registry)
     for c in CELLS_OF[0]:  # row 0
@@ -228,7 +199,7 @@ def test_registry_entries_are_current_after_fixpoint():
     registry = HalfDoubleRegistry()
     step1_fixpoint(g, registry)
     for (bx, d), pair in registry.entries.items():
-        assert available_cells(g, registry, Structure("box", bx), d) == set(pair)
+        assert reference_available(g, registry, bx, d) == set(pair)
 
 
 # --- Step 1 as it ran before it kept its state across passes ---------------
@@ -313,7 +284,8 @@ class FullScan:
             for dx in DIGITS_OF[masks[c] & ~gm]:
                 masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        self.registry.claim(cells, gm)
+        self.registry.claim_groups.append((cells, gm))
+        self.registry.claimed.update(dict.fromkeys(cells, gm))
         self.events.append(TraceEvent("1.3", rule, structure=BOXES[bx], cells=cells,
                                       digits=digits, erased=tuple(erased)))
         self.rule22()
@@ -389,55 +361,36 @@ def step1_puzzles(full_corpus):
     return step1_inputs(full_corpus)
 
 
-def handwritten_registry(seed: int) -> HalfDoubleRegistry:
-    """Pencil marks written straight into a registry, as callers may: half
-    doubles anywhere in their box, and one claim whose masks were not stripped."""
-    rng, registry = random.Random(seed), HalfDoubleRegistry()
-    for _ in range(4):
-        bx = rng.randrange(9)
-        pair = tuple(sorted(rng.sample(CELLS_OF[18 + bx], 2)))
-        registry.entries[(bx, rng.randrange(1, 10))] = pair
-    bx = rng.randrange(9)
-    registry.claim(tuple(sorted(rng.sample(CELLS_OF[18 + bx], 2))),
-                   mask_of(rng.sample(range(1, 10), 2)))
-    return registry
-
-
-def step1_runs(step1_puzzles) -> list[tuple[str, int | None]]:
-    """Every input with a fresh registry, then a quarter of the corpus with a
-    hand-written one (by seed), which exercises held and recomputed entries."""
-    return ([(p, None) for p in step1_puzzles]
-            + [(p, seed) for seed, p in enumerate(step1_puzzles[:400:4])])
-
-
 def kept_fixpoint(grid, registry, triples, events) -> list[int]:
     return step1_fixpoint(grid, registry, triples, trace=events).finds_per_pass
 
 
-def run_step1(fixpoint, puzzle: str, triples: bool, seed: int | None):
+def run_step1(fixpoint, puzzle: str, triples: bool):
     """(events, finds per pass or the contradiction, grid, registry)."""
-    registry = HalfDoubleRegistry() if seed is None else handwritten_registry(seed)
-    grid, events = parse_grid(puzzle), []
+    registry, grid, events = HalfDoubleRegistry(), parse_grid(puzzle), []
     try:
         result = fixpoint(grid, registry, triples, events)
     except ContradictionFound as e:
-        return events, str(e), grid.fingerprint(), None
-    return events, result, grid.fingerprint(), (registry.entries, registry.claim_groups)
+        return events, str(e), grid, None
+    return events, result, grid, (registry.entries, registry.claim_groups)
 
 
 @pytest.mark.parametrize("triples", [False, True])
 def test_step1_schedule_matches_full_scans(step1_puzzles, triples):
-    runs, contradicted = step1_runs(step1_puzzles), 0
-    for puzzle, seed in runs:
-        got = run_step1(kept_fixpoint, puzzle, triples, seed)
-        assert got == run_step1(full_scan_fixpoint, puzzle, triples, seed), (puzzle, seed)
+    contradicted = 0
+    for puzzle in step1_puzzles:
+        got = run_step1(kept_fixpoint, puzzle, triples)
+        assert got == run_step1(full_scan_fixpoint, puzzle, triples), puzzle
         contradicted += isinstance(got[1], str)
-    assert 0 < contradicted < len(runs) // 4
+    assert 0 < contradicted < len(step1_puzzles) // 4
 
 
 @pytest.mark.parametrize("triples", [False, True])
 def test_kept_bitboards_match_fresh_ones_after_every_pass(step1_puzzles, monkeypatch,
                                                           triples):
+    """After every pass the kept closed-cell boards equal freshly built ones,
+    and the open cells of every box and digit not yet inked there follow the
+    paper's rule (``reference_available``)."""
     def closed(boards, d):
         return boards.inked | boards.ink_lines[d] | boards.pencil[d]
 
@@ -449,14 +402,18 @@ def test_kept_bitboards_match_fresh_ones_after_every_pass(step1_puzzles, monkeyp
         assert ([closed(boards, d) for d in range(1, 10)]
                 == [closed(fresh, d) for d in range(1, 10)])
         assert boards.held == fresh.held
+        for d in range(1, 10):
+            for bx in range(9):
+                if not boards.held >> 9 * d + bx & 1:
+                    open_bits = ~closed(boards, d)
+                    assert ({c for c in CELLS_OF[18 + bx] if open_bits >> c & 1}
+                            == reference_available(boards.grid, boards.registry, bx, d))
         checked.append(1)
 
     monkeypatch.setattr(phase1, "_pass", checked_pass)
-    runs = step1_runs(step1_puzzles)
-    for puzzle, seed in runs:
-        registry = HalfDoubleRegistry() if seed is None else handwritten_registry(seed)
+    for puzzle in step1_puzzles:
         try:
-            step1_fixpoint(parse_grid(puzzle), registry, triples)
+            step1_fixpoint(parse_grid(puzzle), HalfDoubleRegistry(), triples)
         except ContradictionFound:
             pass
-    assert len(checked) > 3 * len(runs)
+    assert len(checked) > 3 * len(step1_puzzles)

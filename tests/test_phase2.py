@@ -51,9 +51,9 @@ def test_hidden_single_is_inked():
 
 def test_no_singles_leaves_grid_unchanged():
     g = Grid()
-    snap = g.fingerprint()
+    snap = g.copy()
     assert detect_singles(g, Structure("col", 3)) == []
-    assert g.fingerprint() == snap
+    assert g == snap
 
 
 def test_detect_singles_raises_on_empty_cell():
@@ -461,9 +461,9 @@ def test_step3_scans_match_position_table_scans(full_corpus, solutions, monkeypa
 def test_step3_fixpoint_idempotent(puzzle):
     g = parse_grid(puzzle)
     step3_fixpoint(g)
-    snap = g.fingerprint()
+    snap = g.copy()
     run = step3_fixpoint(g)
-    assert g.fingerprint() == snap
+    assert g == snap
     assert sum(run.finds_per_sweep) == 0
 
 
