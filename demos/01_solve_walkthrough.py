@@ -20,7 +20,7 @@ run = step1_fixpoint(grid, registry, trace=events)
 print(f"\nStep 1 took {run.passes} passes and made {sum(run.finds_per_pass)} finds "
       f"({grid.inked_count()} cells inked)")
 print(f"  half doubles on record: {len(registry.entries)}, "
-      f"hidden doubles claimed: {len(registry.claim_groups)}")
+      f"hidden doubles claimed: {sum(e.step == '1.3' for e in events)}")
 
 step2_fill(grid, registry, trace=events)
 print(f"Step 2 filled every cell with candidates "

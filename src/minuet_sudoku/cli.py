@@ -115,6 +115,9 @@ def cmd_batch(args) -> int:
         return EXIT_USAGE
     for line_no, message in corpus.errors:
         print(f"{args.corpus}:{line_no}: {message}", file=sys.stderr)
+    outdir = Path(args.report) if args.report else None
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
     result = batch_solve(corpus, jobs=args.jobs, level=args.level)
     print(result.stats.render())
     for r in result.results:
@@ -123,9 +126,7 @@ def cmd_batch(args) -> int:
     for line_no, report in result.reports:
         print(f"\n--- counterexample at line {line_no} ---")
         print(render_report(report))
-    if args.report:
-        outdir = Path(args.report)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         for line_no, report in result.reports:
             (outdir / f"counterexample_line{line_no}.txt").write_text(
                 render_report(report) + "\n")

@@ -359,24 +359,20 @@ def commit_retained(state: MinuetState, base: Grid,
         raise BothContradicted(state.starter.describe())
     if len(alive) == 2:
         raise ValueError("commit_retained requires exactly one contradicted view")
-    surv = alive[0]
-    shadow = surv.shadow
-    rule = f"commit {surv.label}"
+    _take_shadow(alive[0], base, "commit", events)
+
+
+def _take_shadow(view: HypothesisView, base: Grid, verb: str, events: list) -> None:
+    """Make the base equal ``view``'s shadow, as rule ``"<verb> <label>"``:
+    ink each cell the shadow solved, then narrow the rest to its candidates
+    (a complete shadow, which is adopted as the solution, leaves no rest)."""
+    shadow, rule = view.shadow, f"{verb} {view.label}"
     for c in range(81):
         if not base.solved[c] and shadow.solved[c]:
             events.append(place_ink(base, c, shadow.solved[c], step="commit", rule=rule))
     for c in range(81):
         if not base.solved[c]:
             _narrow(base, c, shadow.masks[c], "commit", rule, events)
-
-
-def _adopt(view: HypothesisView, base: Grid, events: list) -> None:
-    """A hypothesis completed without conflict: it is a solution, write it in."""
-    rule = f"adopt {view.label}"
-    for c in range(81):
-        if not base.solved[c]:
-            events.append(place_ink(base, c, view.shadow.solved[c],
-                                    step="commit", rule=rule))
 
 
 def run_minuet(base: Grid, starter: Starter, *,
@@ -409,7 +405,7 @@ def run_minuet(base: Grid, starter: Starter, *,
         return "progress", state
     for view in (state.circle, state.square):
         if view.shadow.is_complete():
-            _adopt(view, base, events)
+            _take_shadow(view, base, "adopt", events)
             return "solved", state
     if not dance_together(state, base, events):
         return "stuck", state
@@ -429,9 +425,12 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     ``verdict`` is the oracle's verdict on this puzzle when the caller
     already holds one; it is consulted only when the method stalls.  Without
     it, a stall runs the oracle itself.
+
+    A ``Grid``'s pencil marks are rebuilt from its ink, as ``parse_grid``
+    builds them: conflicting ink raises InconsistentGivens before any work.
     """
     cfg = config or SolveConfig()
-    grid = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle.copy()
+    grid = parse_grid(puzzle if isinstance(puzzle, str) else serialize_grid(puzzle))
     start = grid.copy()
     trace: list[TraceEvent] = []
     stats = SolveStats()

@@ -158,10 +158,11 @@ def brute_solve(grid: Grid) -> Grid:
 def verify_well_posed(grid: Grid) -> WellPosedness:
     """Classify a puzzle as WellPosed / NoSolution / MultipleSolutions.
 
-    Fast path: an inconsistent grid is NoSolution and a consistent grid with
-    fewer than 17 givens is MultipleSolutions, both without any search.
+    Fast path: conflicting ink is NoSolution, and fewer than 17 givens is
+    MultipleSolutions, both without any search.  Like the search, it reads
+    only the ink: the copy checked has full pencil marks.
     """
-    if check_consistency(grid) is not None:
+    if check_consistency(Grid(grid.solved)) is not None:
         return WellPosedness("no_solution")
     if grid.inked_count() < MIN_CLUES_FOR_UNIQUE:
         return WellPosedness("multiple_solutions")

@@ -5,9 +5,8 @@ Step 1 hunts hidden singles, half doubles and hidden doubles box by box
 cell with all digits not blocked by ink, half doubles, or doubles/triples.
 
 The registry plays the role of the pencil marks: ``entries`` are the small
-corner digits (a half double per box and digit), ``claim_groups`` the big
-penciled hidden doubles/triples, which make their cells unavailable to every
-other digit.
+corner digits (a half double per box and digit), ``claimed`` the cells of the
+big penciled hidden doubles/triples, which are closed to every other digit.
 
 Every find is logged as one ``TraceEvent``: an ink under step "1.1" (hidden
 and passive singles), a half double under "1.2", a hidden double or triple
@@ -17,10 +16,10 @@ them per pass.
 Step 1 keeps asking which cells of a box are still open to a digit.  It
 answers from bitboards: 81-bit ints in which bit ``c`` stands for cell ``c``.
 A cell is closed to ``d`` by ink (it is inked, or its row or column holds a
-``d``) or by pencil (Rules 20 and 21: it is on the line of a half double or
-claim group of ``d`` but not in it, or in a claim without ``d``).  Every pass
-of ``step1_fixpoint`` updates one :class:`_Bitboards` in place and rescans
-only the (digit, box) pairs whose open cells or half double changed.
+``d``) or by pencil (Rules 20 and 21: it is on the line of a half double of
+``d`` but not in it, or in a claim without ``d``).  Every pass of
+``step1_fixpoint`` updates one :class:`_Bitboards` in place and rescans only
+the (digit, box) pairs whose open cells or half double changed.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import cache
 from itertools import combinations
 
 from .grid import (ALL_DIGITS, BIT, BOX_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF,
-                   STRUCTURES, STRUCTS_OF, ContradictionFound, Grid, Structure, block_group,
+                   STRUCTURES, STRUCTS_OF, ContradictionFound, Grid, block_group,
                    mask_of, place_ink)
 from .trace import TraceEvent
 
@@ -58,8 +57,8 @@ class HalfDoubleRegistry:
     ``entries`` maps (box, digit) to the exactly-two cells still available to
     the digit in that box.  Entries are purged as soon as the digit is inked
     or a cell becomes unavailable (Rule 22 fires at that moment).
-    ``claim_groups`` holds hidden doubles/triples: their cells are closed to
-    all other digits (Rule 21).
+    ``claimed`` maps each cell of a hidden double/triple to the claim's digit
+    mask: the cell is closed to all other digits (Rule 21).
 
     Only Step 1 writes a registry: pass ``step1_fixpoint`` an empty one, or
     one an earlier ``step1_fixpoint`` filled on the same grid.  Step 2 reads it.
@@ -67,30 +66,25 @@ class HalfDoubleRegistry:
 
     def __init__(self):
         self.entries: dict[tuple[int, int], tuple[int, int]] = {}
-        self.claim_groups: list[tuple[tuple[int, ...], int]] = []
         self.claimed: dict[int, int] = {}
 
 
 @cache
-def _line_bits(cells: tuple[int, ...]) -> tuple[int, int]:
-    """Rest of the row or column holding all ``cells``, and its boxes, or (0, 0)."""
-    shared = STRUCT_SET_OF[cells[0]]
-    for c in cells:
-        shared &= STRUCT_SET_OF[c]
+def _line_bits(pair: tuple[int, int]) -> tuple[int, int]:
+    """Rest of the row or column holding both cells, and its boxes, or (0, 0)."""
+    a, b = pair
+    shared = STRUCT_SET_OF[a] & STRUCT_SET_OF[b]
     s = (shared & -shared).bit_length() - 1  # lowest id: a row, a column or the box
     if s >= 18:
         return 0, 0
-    return STRUCT_BITS[s] & ~sum(1 << c for c in cells), BOXES_OF[s]
+    return STRUCT_BITS[s] & ~(1 << a | 1 << b), BOXES_OF[s]
 
 
 def _pencil_bits(registry: HalfDoubleRegistry) -> list[int]:
-    """Per digit, the cells pencil closes to it (Rules 20/21 and claims)."""
+    """Per digit, the cells pencil closes to it (Rules 20 and 21)."""
     pencil = [0] * 10
     for (_, d), pair in registry.entries.items():
         pencil[d] |= _line_bits(pair)[0]
-    for cells, m in registry.claim_groups:
-        for d in DIGITS_OF[m]:
-            pencil[d] |= _line_bits(cells)[0]
     for c, m in registry.claimed.items():
         for d in DIGITS_OF[ALL_DIGITS & ~m]:
             pencil[d] |= 1 << c
@@ -104,11 +98,10 @@ class _Bitboards:
     columns holding a ``d`` and the cells pencil closes to ``d``.  Pair masks
     (bit ``9 * d + bx`` for digit ``d`` in box ``bx``) hold the pairs whose
     box holds the digit (``held``) and those whose open cells or half double
-    changed since the last Rule-22 walk (``dirty``) or their last scan
-    (``stale``: every pair at first, later never a held one)."""
+    changed since their last scan (``stale``: every pair at first, later
+    never a held one)."""
 
-    __slots__ = ("grid", "registry", "inked", "ink_lines", "pencil", "held", "stale",
-                 "dirty")
+    __slots__ = ("grid", "registry", "inked", "ink_lines", "pencil", "held", "stale")
 
     def __init__(self, grid: Grid, registry: HalfDoubleRegistry):
         self.grid, self.registry = grid, registry
@@ -119,11 +112,10 @@ class _Bitboards:
                 self.ink_lines[d] |= CROSS_BITS[c]
                 self.held |= 1 << 9 * d + BOX_OF[c]
         self.pencil = _pencil_bits(registry)
-        self.stale = self.dirty = sum(EVERY_DIGIT)
+        self.stale = sum(EVERY_DIGIT)
 
     def _mark(self, pairs: int) -> None:
         self.stale |= pairs & ~self.held
-        self.dirty |= pairs
 
     def ink(self, bx: int, cell: int, d: int, rule: str) -> TraceEvent:
         ev = place_ink(self.grid, cell, d, step="1.1", rule=rule,
@@ -147,34 +139,37 @@ class _Bitboards:
     def claim(self, bx: int, cells: tuple[int, ...], digits: tuple[int, ...], rule: str,
               events: list) -> None:
         """Pencil a hidden double or triple: strip every other digit from its
-        cells, close them to those digits (Rule 21), then apply Rule 22."""
+        cells, close them to those digits (Rule 21), then apply Rule 22.
+
+        Rule 21 also closes the rest of the claim's line to its own digits,
+        but that is already closed.  Lemma: the claim is formed from a live
+        entry per claim digit with its pair inside ``cells``, so on that
+        line.  The entry lives until its digit is inked at a claim cell
+        (``step1_fixpoint``), whose row and column then close the line."""
         masks, gm, erased = self.grid.masks, mask_of(digits), []
         for c in cells:
+            self.registry.claimed[c] = gm
             for dx in DIGITS_OF[masks[c] & ~gm]:
                 masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        self.registry.claim_groups.append((cells, gm))
-        for c in cells:
-            self.registry.claimed[c] = gm
-        (bits, boxes), own = _line_bits(cells), sum(1 << c for c in cells)
-        for d in range(1, 10):
-            self.pencil[d] |= bits if gm & BIT[d] else own
-            self._mark((boxes | 1 << bx) << 9 * d)
+        for d in DIGITS_OF[ALL_DIGITS & ~gm]:
+            self.pencil[d] |= sum(1 << c for c in cells)
+            self._mark(1 << 9 * d + bx)
         events.append(TraceEvent("1.3", rule, structure=STRUCTURES[18 + bx],
                                  cells=cells, digits=digits, erased=tuple(erased)))
         _eager_rule22(self, events)
 
 
 def _eager_rule22(boards: _Bitboards, events: list) -> None:
-    """Rule 22, applied as soon as a half-double (or claimed) cell of a dirty
-    pair becomes unavailable: the surviving cell and digit are a hidden single."""
+    """Rule 22, applied as soon as a half-double (or claimed) cell becomes
+    unavailable: the surviving cell and digit are a hidden single.  A walk
+    checks every entry and claimed cell; one unchanged since the last walk
+    was consistent then, so checking it again finds nothing."""
     grid, registry = boards.grid, boards.registry
     changed = True
     while changed:
         changed = False
         for (bx, d), (a, b) in list(registry.entries.items()):
-            if not boards.dirty >> 9 * d + bx & 1:
-                continue
             if boards.held >> 9 * d + bx & 1:
                 boards.forget(bx, d)
                 continue
@@ -188,7 +183,7 @@ def _eager_rule22(boards: _Bitboards, events: list) -> None:
             boards.forget(bx, d)
             changed = True
         for c in sorted(registry.claimed):
-            if grid.solved[c] or not boards.dirty & EVERY_DIGIT[BOX_OF[c]]:
+            if grid.solved[c]:
                 continue
             m = grid.masks[c]
             if not m:
@@ -196,16 +191,19 @@ def _eager_rule22(boards: _Bitboards, events: list) -> None:
             if not m & (m - 1):
                 events.append(boards.ink(BOX_OF[c], c, DIGITS_OF[m][0], "passive single"))
                 changed = True
-    boards.dirty = 0
 
 
 def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
                      triples_enabled: bool, events: list) -> None:
     """Corollary 13a (two half doubles on the same two cells are a hidden
-    double) and, optionally, Corollary 16a for hidden triples."""
+    double) and, optionally, Corollary 16a for hidden triples.
+
+    No claim can share a cell with an earlier one.  Lemma: a claim closes
+    its cells to other digits and Rule 22 runs before ``claim`` returns, so
+    no live entry holds a cell claimed without its digit.  A claim digit's
+    open cells stay inside its entry's pair, so it is never recorded again.
+    So ``pair`` holds no claimed cell, and spots holding one are four."""
     registry = boards.registry
-    if any(c in registry.claimed for c in pair):
-        return
     for d2 in range(1, 10):
         if d2 != d and registry.entries.get((bx, d2)) == pair:
             boards.claim(bx, pair, tuple(sorted((d, d2))), "hidden double", events)
@@ -215,7 +213,7 @@ def _try_corollaries(boards: _Bitboards, bx: int, d: int, pair: tuple[int, int],
     others = [(dd, p) for (bb, dd), p in registry.entries.items() if bb == bx and dd != d]
     for (d2, p2), (d3, p3) in combinations(others, 2):
         spots = set(pair) | set(p2) | set(p3)
-        if len(spots) != 3 or any(c in registry.claimed for c in spots):
+        if len(spots) != 3:
             continue
         boards.claim(bx, tuple(sorted(spots)), tuple(sorted((d, d2, d3))), "hidden triple",
                      events)
@@ -283,22 +281,22 @@ def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
 
     Ink blockages are already reflected in the masks; this applies the
     pencil-mark blockages: a half double erases its digit from every
-    structure containing both of its cells (Rule 20), and a claimed double or
-    triple erases its digits from every structure containing all of its cells
-    (Rule 21).  It is very important not to miss any candidates, so nothing
-    else is erased.  Raises ContradictionFound if a cell ends up empty.
+    structure containing both of its cells (Rule 20).  It is very important
+    not to miss any candidates, so nothing else is erased.  Raises
+    ContradictionFound if a cell ends up empty.
+
+    A claim's block (Rule 21) would erase nothing more.  Each claim digit's
+    entry has its pair inside the claim (``_Bitboards.claim``): while it
+    lives, its block covers the claim's structures, and once its digit is
+    inked at a claim cell, the ink has erased it from all their cells.
     """
     events = trace if trace is not None else []
     masks = grid.masks
-    blocks = [(pair, BIT[d], "half double block", Structure("box", bx))
-              for (bx, d), pair in registry.entries.items()]
-    blocks += [(cells, gm, "double block" if len(cells) == 2 else "triple block", None)
-               for cells, gm in registry.claim_groups]
-    for cells, gm, rule, structure in blocks:
-        erased = block_group(grid, cells, gm)
+    for (bx, d), pair in registry.entries.items():
+        erased = block_group(grid, pair, BIT[d])
         if erased:
-            events.append(TraceEvent("2", rule, structure=structure, cells=cells,
-                                     digits=DIGITS_OF[gm], erased=tuple(erased)))
+            events.append(TraceEvent("2", "half double block", structure=STRUCTURES[18 + bx],
+                                     cells=pair, digits=(d,), erased=tuple(erased)))
     for c in range(81):
         if grid.solved[c]:
             continue

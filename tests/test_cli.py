@@ -103,6 +103,18 @@ def test_batch_command_failure_exit_and_reports(tmp_path, capsys):
     assert "CONJECTURE FAILURE" in capsys.readouterr().out
 
 
+def test_batch_command_checks_report_dir_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "batch_solve", lambda *a, **kw: calls.append(a))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n")
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["batch", str(corpus), "--report", str(taken)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_batch_command_reports_errors_and_exits_one(tmp_path, capsys, monkeypatch):
     def broken(grid, cfg=None, **kwargs):
         raise ValueError("no luck")

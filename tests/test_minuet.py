@@ -10,8 +10,8 @@ from minuet_sudoku import (BothContradicted,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, validate_report)
 from minuet_sudoku import minuet
-from minuet_sudoku.grid import (BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF, STRUCTURES,
-                                Grid, Structure, mask_of)
+from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF,
+                                STRUCTURES, Grid, InconsistentGivens, Structure, mask_of)
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
 from conftest import dig_minimal, random_full_grid
@@ -461,6 +461,28 @@ def test_solve_leaves_the_callers_grid_alone():
         assert outcome.status == "solved"
         assert g == snap
         assert outcome.grid is not g and outcome.start is not g
+
+
+def test_solve_reads_only_the_ink_of_a_grid():
+    """A grid's pencil marks do not reach the solver: masks left wide open
+    or narrowed past the solution solve exactly like the puzzle text, and
+    conflicting ink is rejected before any work."""
+    expected = solve(HARD)
+    wide = parse_grid(HARD)
+    wide.masks = [0 if d else ALL_DIGITS for d in wide.solved]
+    narrowed = parse_grid(HARD)
+    for c in range(81):
+        if not narrowed.solved[c]:
+            narrowed.masks[c] &= ~BIT[int(HARD_SOLUTION[c])]
+    for grid in (wide, narrowed):
+        outcome = solve(grid)
+        assert outcome.status == "solved"
+        assert outcome.trace == expected.trace and outcome.grid == expected.grid
+        assert outcome.start == parse_grid(HARD)
+    clash = Grid()
+    clash.solved[:2] = [5, 5]
+    with pytest.raises(InconsistentGivens):
+        solve(clash)
 
 
 def test_tricky_fixture_exercises_joint_eliminations():

@@ -251,6 +251,13 @@ def test_verify_conflict_is_no_solution():
     assert verify_well_posed(g).status == "no_solution"
 
 
+def test_verify_reads_only_the_ink():
+    g = parse_grid(EASY)
+    g.masks[g.solved.index(0)] = 0
+    assert count_solutions(g) == 1
+    assert verify_well_posed(g).status == "well_posed"
+
+
 @pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD])
 def test_verify_fixture_puzzles_well_posed(puzzle):
     wp = verify_well_posed(parse_grid(puzzle))

@@ -8,7 +8,7 @@ from minuet_sudoku import (ContradictionFound, HalfDoubleRegistry, Structure, br
                            step2_fill)
 from minuet_sudoku import phase1
 from minuet_sudoku.grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF,
-                                STRUCT_BITS, Grid, mask_of)
+                                STRUCT_BITS, Grid, block_group, mask_of)
 from minuet_sudoku.trace import TraceEvent
 
 from conftest import dig_minimal, random_full_grid
@@ -22,13 +22,23 @@ def grid_with(assignments: dict[int, int]) -> Grid:
     return parse_grid("".join(chars))
 
 
+def claim_groups(registry: HalfDoubleRegistry) -> list[tuple[tuple[int, ...], int]]:
+    """Every hidden double or triple as (cells, digit mask), rebuilt from
+    ``registry.claimed``: the cells of one box with one mask form one claim
+    (two claims never share a digit of a box)."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for c, m in sorted(registry.claimed.items()):
+        groups.setdefault((BOX_OF[c], m), []).append(c)
+    return [(tuple(cells), m) for (_, m), cells in groups.items()]
+
+
 def reference_available(g: Grid, registry: HalfDoubleRegistry, bx: int, d: int) -> set[int]:
     """The paper's rule, cell by cell: the cells of box ``bx`` still open to
     ``d`` are not inked, not claimed without ``d``, not on a row or column
     holding a ``d``, and not on the line of a half double or claim of ``d``
     unless in it."""
     groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
-    groups += [cells for cells, m in registry.claim_groups if m & BIT[d]]
+    groups += [cells for cells, m in claim_groups(registry) if m & BIT[d]]
     out = set()
     for c in CELLS_OF[18 + bx]:
         row, col = CELLS_OF[c // 9], CELLS_OF[9 + c % 9]
@@ -211,7 +221,7 @@ BOXES = [Structure("box", bx) for bx in range(9)]
 def full_scan_pencil(registry: HalfDoubleRegistry, d: int) -> int:
     """Cells closed to ``d`` by pencil marks, computed from the registry."""
     groups = [pair for (_, dd), pair in registry.entries.items() if dd == d]
-    groups += [cells for cells, m in registry.claim_groups if m & BIT[d]]
+    groups += [cells for cells, m in claim_groups(registry) if m & BIT[d]]
     bits = 0
     for cells in groups:
         own = sum(1 << c for c in cells)
@@ -284,7 +294,6 @@ class FullScan:
             for dx in DIGITS_OF[masks[c] & ~gm]:
                 masks[c] &= ~BIT[dx]
                 erased.append((c, dx))
-        self.registry.claim_groups.append((cells, gm))
         self.registry.claimed.update(dict.fromkeys(cells, gm))
         self.events.append(TraceEvent("1.3", rule, structure=BOXES[bx], cells=cells,
                                       digits=digits, erased=tuple(erased)))
@@ -372,7 +381,7 @@ def run_step1(fixpoint, puzzle: str, triples: bool):
         result = fixpoint(grid, registry, triples, events)
     except ContradictionFound as e:
         return events, str(e), grid, None
-    return events, result, grid, (registry.entries, registry.claim_groups)
+    return events, result, grid, (registry.entries, registry.claimed)
 
 
 @pytest.mark.parametrize("triples", [False, True])
@@ -417,3 +426,65 @@ def test_kept_bitboards_match_fresh_ones_after_every_pass(step1_puzzles, monkeyp
         except ContradictionFound:
             pass
     assert len(checked) > 3 * len(step1_puzzles)
+
+
+def full_step2(grid: Grid, registry: HalfDoubleRegistry, events: list) -> None:
+    """Step 2 with the paper's full rule: every half double's block (Rule
+    20), then every claim's block on its digits (Rule 21), then the naked
+    singles."""
+    blocks = [(pair, BIT[d], "half double block", BOXES[bx])
+              for (bx, d), pair in registry.entries.items()]
+    blocks += [(cells, m, "double block" if len(cells) == 2 else "triple block", None)
+               for cells, m in claim_groups(registry)]
+    for cells, m, rule, structure in blocks:
+        erased = block_group(grid, cells, m)
+        if erased:
+            events.append(TraceEvent("2", rule, structure=structure, cells=cells,
+                                     digits=DIGITS_OF[m], erased=tuple(erased)))
+    for c in range(81):
+        if not grid.solved[c]:
+            m = grid.masks[c]
+            if not m:
+                raise ContradictionFound("empty_cell", cell=c)
+            if not m & (m - 1):
+                events.append(place_ink(grid, c, DIGITS_OF[m][0], step="2",
+                                        rule="naked single"))
+
+
+def run_step2(fill, grid: Grid, registry: HalfDoubleRegistry):
+    """(events, grid) of one Step 2 on a copy of ``grid``, or the contradiction."""
+    grid, events = grid.copy(), []
+    try:
+        fill(grid, registry, events)
+    except ContradictionFound as e:
+        return str(e)
+    return events, grid
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_claims_need_no_marks_of_their_own(step1_puzzles, monkeypatch, triples):
+    """The lemmas behind Phase I's pencil marks: after every claim no live
+    entry holds a cell claimed without its digit (so ``_try_corollaries``
+    needs no claimed-cell guard), and Step 2 without the claims' blocks
+    matches the full rule's events and grid, or its contradiction."""
+    real_claim, claims = phase1._Bitboards.claim, []
+
+    def checked_claim(boards, bx, cells, digits, rule, events):
+        real_claim(boards, bx, cells, digits, rule, events)
+        claimed = boards.registry.claimed
+        for (_, d), pair in boards.registry.entries.items():
+            assert all(claimed.get(c, BIT[d]) & BIT[d] for c in pair)
+        claims.append(1)
+
+    monkeypatch.setattr(phase1._Bitboards, "claim", checked_claim)
+    with_claims = 0
+    for puzzle in step1_puzzles:
+        grid, registry = parse_grid(puzzle), HalfDoubleRegistry()
+        try:
+            step1_fixpoint(grid, registry, triples)
+        except ContradictionFound:
+            continue
+        kept = run_step2(lambda g, r, ev: step2_fill(g, r, trace=ev), grid, registry)
+        assert kept == run_step2(full_step2, grid, registry), puzzle
+        with_claims += bool(registry.claimed)
+    assert claims and with_claims
