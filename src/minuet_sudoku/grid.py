@@ -190,9 +190,8 @@ class Grid:
 def parse_grid(text: str) -> Grid:
     """Parse an 81-character puzzle (digits 1-9 are givens; '.' or '0' empty).
 
-    Whitespace and newlines are ignored.  Every empty cell starts with the
-    full candidate set minus the digits already inked in its row, column and
-    box.  Raises WrongLength, BadChar, or InconsistentGivens.
+    Whitespace and newlines are ignored.  The grid is ``grid_from_ink``'s
+    for the givens.  Raises WrongLength, BadChar, or InconsistentGivens.
     """
     chars = []
     for ch in text:
@@ -203,27 +202,33 @@ def parse_grid(text: str) -> Grid:
         chars.append(ch)
     if len(chars) != 81:
         raise WrongLength(f"expected 81 significant characters, got {len(chars)}")
+    return grid_from_ink([0 if ch == "." else int(ch) for ch in chars])
 
-    solved = [0] * 81
+
+def grid_from_ink(solved: list[int]) -> Grid:
+    """A new grid inking ``solved``'s digits (0 for an empty cell).
+
+    Every empty cell starts with the full candidate set minus the digits
+    inked in its row, column and box.  Raises InconsistentGivens when a
+    digit is inked twice in one structure.
+    """
     used = [0] * 27  # inked-digit mask per flat structure
-    for i, ch in enumerate(chars):
-        if ch in ".0":
+    for i, d in enumerate(solved):
+        if not d:
             continue
-        d = int(ch)
         b = BIT[d]
         for s in STRUCTS_OF[i]:
             if used[s] & b:
                 raise InconsistentGivens(
                     f"digit {d} appears twice in {STRUCTURES[s].kind} {STRUCTURES[s].index}")
             used[s] |= b
-        solved[i] = d
 
     masks = [0] * 81
     for i in range(81):
         if not solved[i]:
             r, c, b = STRUCTS_OF[i]
             masks[i] = ALL_DIGITS & ~(used[r] | used[c] | used[b])
-    return Grid(solved, masks)
+    return Grid(list(solved), masks)
 
 
 def serialize_grid(grid: Grid) -> str:

@@ -40,7 +40,7 @@ from typing import NamedTuple
 from . import oracle
 from .grid import (BIT, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTS_OF,
                    STRUCTURES, ContradictionFound, Grid, Structure, check_consistency,
-                   parse_grid, place_ink, serialize_grid)
+                   grid_from_ink, parse_grid, place_ink, serialize_grid)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
 from .phase2 import step3_fixpoint
 from .trace import TraceEvent
@@ -301,9 +301,9 @@ def dance_together(state: MinuetState, base: Grid, trace: list | None = None) ->
     digit is neither a candidate nor the ink of any peer.  Every ink, in the
     base and in each shadow, goes through ``place_ink``, which erases the
     digit from all 20 peers (Rule 19) and refuses a digit that is not a
-    candidate; ``parse_grid`` builds the givens the same way, and masks only
-    ever shrink.  Now take a target ``x`` of (b) for digit ``n``, circled at
-    ``a`` and squared at ``z``: ``x`` shares a structure with ``a`` and one
+    candidate; ``grid_from_ink`` builds the givens the same way, and masks
+    only ever shrink.  Now take a target ``x`` of (b) for digit ``n``, circled
+    at ``a`` and squared at ``z``: ``x`` shares a structure with ``a`` and one
     with ``z``, so by the lemma ``n`` is absent from both
     ``circle.retained(x)`` and ``square.retained(x)``.  Trick (a) visits
     every unsolved base cell, so it has already erased ``n`` at ``x``, and
@@ -426,11 +426,12 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     already holds one; it is consulted only when the method stalls.  Without
     it, a stall runs the oracle itself.
 
-    A ``Grid``'s pencil marks are rebuilt from its ink, as ``parse_grid``
-    builds them: conflicting ink raises InconsistentGivens before any work.
+    A ``Grid``'s pencil marks are rebuilt from its ink by ``grid_from_ink``,
+    as ``parse_grid`` builds them: conflicting ink raises InconsistentGivens
+    before any work.
     """
     cfg = config or SolveConfig()
-    grid = parse_grid(puzzle if isinstance(puzzle, str) else serialize_grid(puzzle))
+    grid = parse_grid(puzzle) if isinstance(puzzle, str) else grid_from_ink(puzzle.solved)
     start = grid.copy()
     trace: list[TraceEvent] = []
     stats = SolveStats()

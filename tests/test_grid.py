@@ -3,7 +3,7 @@ import pytest
 from minuet_sudoku import (AlreadySolved, BadChar, Grid, InconsistentGivens,
                            NotACandidate, Structure, WrongLength, brute_solve,
                            check_consistency, parse_grid, place_ink, serialize_grid)
-from minuet_sudoku.grid import BIT, CELLS_OF, PEERS, STRUCTS_OF, flat_structure
+from minuet_sudoku.grid import BIT, CELLS_OF, PEERS, STRUCTS_OF, flat_structure, grid_from_ink
 
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
 
@@ -42,6 +42,15 @@ def test_parse_excludes_inked_digits_from_candidates():
     assert 5 not in g.candidates(10)  # same box
     assert 5 in g.candidates(80)
 
+
+def test_grid_from_ink_builds_the_parsed_grid():
+    for puzzle in (EASY, MEDIUM, HARD, "." * 81):
+        ink = parse_grid(puzzle).solved
+        g = grid_from_ink(ink)
+        assert g == parse_grid(puzzle)
+        assert g.solved is not ink
+    with pytest.raises(InconsistentGivens, match="digit 5 appears twice in box 0"):
+        grid_from_ink([5] + [0] * 9 + [5] + [0] * 70)
 
 def test_serialize_empty_and_solved():
     assert serialize_grid(Grid()) == "." * 81

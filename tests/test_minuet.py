@@ -485,6 +485,21 @@ def test_solve_reads_only_the_ink_of_a_grid():
         solve(clash)
 
 
+def test_solve_builds_a_grid_without_the_text_round_trip(monkeypatch):
+    """``solve()`` rebuilds a ``Grid`` from its ink directly: the puzzle
+    text is neither written nor parsed."""
+    grid = parse_grid(HARD)
+    expected = solve(HARD)
+
+    def boom(*args):
+        raise AssertionError("text round trip")
+
+    monkeypatch.setattr(minuet, "parse_grid", boom)
+    monkeypatch.setattr(minuet, "serialize_grid", boom)
+    outcome = solve(grid)
+    assert outcome.trace == expected.trace and outcome.grid == expected.grid
+
+
 def test_tricky_fixture_exercises_joint_eliminations():
     outcome = solve(TRICKY)
     assert any(ev.step == "4a" for ev in outcome.trace)

@@ -8,10 +8,12 @@ from minuet_sudoku import (Grid, NotWellPosed, brute_solve, check_consistency,
                            count_solutions, parse_grid, serialize_grid,
                            verify_well_posed)
 from minuet_sudoku import oracle
-from minuet_sudoku.grid import ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF
+from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF,
+                                mask_of)
 
 from conftest import dig_minimal, random_full_grid
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
+from test_golden_trace import stall_puzzles
 
 
 def test_count_solved_grid_is_one():
@@ -184,6 +186,122 @@ def test_propagate_matches_full_scan_reference():
                 if ok:
                     assert child == ref, (puzzle, c, d)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 20
+
+
+def fewest_candidates_search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
+    """``oracle._search`` as it was before ``_branch_cell``: each node
+    branches on the first cell with the fewest candidates, stopping at the
+    first bivalue cell.  The reference for the search order; it shares
+    ``oracle._propagate``, which the order leaves unchanged."""
+    cand = [BIT[d] if d else ALL_DIGITS for d in values]
+    first: list[list[int]] = []
+
+    def dfs(cand: list[int], budget: int) -> int:
+        pick, best = -1, 10
+        for i, m in enumerate(cand):
+            if m & (m - 1):
+                n = m.bit_count()
+                if n < best:
+                    pick, best = i, n
+                    if n == 2:
+                        break
+        if pick < 0:
+            if not first:
+                first.append([DIGITS_OF[m][0] for m in cand])
+            return 1
+        count = 0
+        for d in DIGITS_OF[cand[pick]]:
+            child = cand.copy()
+            child[pick] = BIT[d]
+            if oracle._propagate(child, [pick], STRUCT_SET_OF[pick]):
+                count += dfs(child, budget - count)
+                if count >= budget:
+                    break
+        return count
+
+    if not oracle._propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
+        return 0, None
+    n = dfs(cand, cap)
+    return n, (first[0] if first else None)
+
+
+def one_swap_neighbours(rng: random.Random, n: int) -> list[str]:
+    """``n`` seeded one-swap neighbours of ``STALL``: one given dropped and a
+    digit none of its peers holds written into a cell ``STALL`` leaves empty."""
+    empty = [i for i in range(81) if STALL[i] in ".0"]
+    givens = [i for i in range(81) if i not in empty]
+    out = []
+    while len(out) < n:
+        chars = list(STALL)
+        chars[rng.choice(givens)] = "."
+        c = rng.choice(empty)
+        free = sorted(set("123456789") - {chars[p] for p in PEERS[c]})
+        if free:
+            chars[c] = rng.choice(free)
+            out.append("".join(chars))
+    return out
+
+
+def test_search_order_matches_fewest_candidates_reference(full_corpus):
+    """Branching on the best-linked bivalue cell gives the counts of the
+    fewest-candidates order for caps 1, 2 and 3, and the same solution when
+    it is unique: on the corpus, the golden stall set, minimal puzzles, dug
+    grids with one given changed and one-swap neighbours of ``STALL``."""
+    rng = random.Random(41)
+    cases = full_corpus + stall_puzzles()
+    cases += [dig_minimal(random.Random(seed)) for seed in range(60000, 60012)]
+    cases += [with_one_given_changed(rng, p) for p, _ in dug_grids(42, 40, (24, 60))]
+    cases += one_swap_neighbours(rng, 60)
+    seen = set()
+    for puzzle in cases:
+        g = parse_grid(puzzle)
+        ref = [fewest_candidates_search(g.solved, cap) for cap in (1, 2, 3)]
+        assert [count_solutions(g, cap) for cap in (1, 2, 3)] == [n for n, _ in ref], puzzle
+        seen.add(ref[-1][0])
+        if ref[-1][0] == 1:
+            assert brute_solve(g).solved == ref[-1][1], puzzle
+    assert seen == {0, 1, 2, 3}
+
+
+def test_branch_cell_prefers_the_best_linked_bivalue_cell():
+    cand = [BIT[1]] * 81
+    cand[1] = mask_of((1, 2, 3))  # more candidates than any pair
+    cand[0] = mask_of((1, 2))  # a pair with no bivalue peer
+    cand[40] = cand[41] = mask_of((4, 5))  # row 4: two linked pairs, one peer each
+    assert oracle._branch_cell(cand) == 40
+    cand[44] = mask_of((6, 7))  # row 4: 40, 41 and 44 tie at two peers each
+    assert oracle._branch_cell(cand) == 40
+    cand[53] = mask_of((6, 8))  # column 8 and box 5: a peer of 44 alone
+    assert oracle._branch_cell(cand) == 44
+
+
+def test_branch_cell_falls_back_to_the_fewest_candidates():
+    cand = [BIT[1]] * 81
+    assert oracle._branch_cell(cand) == -1
+    cand[3] = mask_of((1, 2, 3, 4))
+    cand[7] = cand[60] = mask_of((5, 6, 7))
+    assert oracle._branch_cell(cand) == 7
+    cand[2] = mask_of((1, 8, 9))
+    assert oracle._branch_cell(cand) == 2
+
+
+def test_golden_stall_searches_stay_small(monkeypatch):
+    """Each search of the golden stall set makes at most 300 propagations
+    (the root's included).  The fewest-candidates order made up to 769."""
+    calls = []
+    real = oracle._propagate
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_propagate", spy)
+    sizes = []
+    for puzzle in stall_puzzles():
+        calls.clear()
+        assert count_solutions(parse_grid(puzzle)) == 1
+        sizes.append(len(calls))
+    assert max(sizes) <= 300, sizes
 
 
 def test_brute_solve_identity_on_solved_grid():

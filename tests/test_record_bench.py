@@ -10,7 +10,7 @@ FAKE_RUN = """\
 import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 print("summary line")
-print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": 0,
+print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": FAILED,
                   "metrics": {"args": args}}))
 """
 
@@ -22,9 +22,10 @@ def load_tool():
     return module
 
 
-def fake_checkout(root: Path, correct: bool) -> Path:
+def fake_checkout(root: Path, correct: bool, failed: int = 0) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(FAKE_RUN.replace("CORRECT", str(correct)))
+    (root / "perfbench" / "run.py").write_text(
+        FAKE_RUN.replace("CORRECT", str(correct)).replace("FAILED", str(failed)))
     return root
 
 
@@ -47,5 +48,15 @@ def test_record_bench_writes_nothing_after_a_wrong_answer(tmp_path, monkeypatch)
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     checkout = fake_checkout(tmp_path / "checkout", False)
     with pytest.raises(SystemExit, match="wrong answers"):
+        tool.main(["7", "--checkout", str(checkout)])
+    assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_record_bench_writes_nothing_after_a_raised_operation(tmp_path, monkeypatch):
+    """perfbench counts a raised operation in ``failed``, not as a wrong answer."""
+    tool = load_tool()
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    checkout = fake_checkout(tmp_path / "checkout", True, failed=1)
+    with pytest.raises(SystemExit, match="1 operation\\(s\\) raised"):
         tool.main(["7", "--checkout", str(checkout)])
     assert not (tmp_path / "BENCH_7.json").exists()

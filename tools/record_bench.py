@@ -6,8 +6,8 @@ with `--trace 0` (end-to-end metrics) and once with `--trace 1` (per-layer
 metrics), and writes each run's JSON result line together with the Python
 version, the machine and its core count.  Every run uses the same seed and
 run length, so the files of the trajectory compare with one another.  Fails
-without writing anything if a run exits with an error or reports a wrong
-answer.
+without writing anything if a run exits with an error, reports a wrong
+answer or counts an operation that raised.
 
 Usage: python tools/record_bench.py LABEL [--checkout DIR]
 
@@ -43,6 +43,9 @@ def run_once(checkout: Path, workload: str, trace: int) -> dict:
     result = json.loads(out.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"{workload} --trace {trace}: wrong answers\n{out.stdout}")
+    if result["failed"]:
+        raise SystemExit(f"{workload} --trace {trace}: {result['failed']} operation(s) "
+                         f"raised\n{out.stdout}")
     return result
 
 
