@@ -2,10 +2,9 @@
 method, with an independent brute-force oracle and a batch harness that hunts
 for counterexamples to the conjecture that the method solves them all."""
 
-from .grid import (Grid, Structure, ConsistencyIssue, GridError, WrongLength,
-                   BadChar, InconsistentGivens, NotACandidate, AlreadySolved,
-                   ContradictionFound, parse_grid, serialize_grid, place_ink,
-                   check_consistency)
+from .grid import (Grid, Structure, GridError, WrongLength, BadChar,
+                   InconsistentGivens, NotACandidate, AlreadySolved,
+                   ContradictionFound, parse_grid, serialize_grid, place_ink)
 from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
 from .phase1 import HalfDoubleRegistry, Phase1Run, step1_fixpoint, step2_fill

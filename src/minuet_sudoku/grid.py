@@ -1,4 +1,4 @@
-"""Grid topology, candidate-set algebra, consistency checking, and puzzle text I/O.
+"""Grid topology, candidate-set algebra, and puzzle text I/O.
 
 Cells are indexed 0..80 row-major.  A candidate set is a 9-bit mask with bit
 ``d-1`` standing for digit ``d``, so membership, union, intersection, removal
@@ -9,7 +9,6 @@ columns, 9 boxes) also have a flat id used internally: rows 0-8, columns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .trace import TraceEvent
@@ -127,14 +126,6 @@ class ContradictionFound(Exception):
         if digit is not None:
             where.append(f"digit {digit}")
         super().__init__(f"{kind}: " + ", ".join(where) if where else kind)
-
-
-@dataclass(frozen=True, slots=True)
-class ConsistencyIssue:
-    kind: str  # "conflict" | "starved" | "empty_cell"
-    structure: Structure | None = None
-    digit: int | None = None
-    cell: int | None = None
 
 
 class Grid:
@@ -281,38 +272,3 @@ def block_group(grid: Grid, cells: tuple[int, ...], mask: int) -> list[tuple[int
                 raise ContradictionFound("empty_cell", cell=c)
     return erased
 
-
-def check_consistency(grid: Grid) -> ConsistencyIssue | None:
-    """First violation of the basic rule, or None if the grid is consistent.
-
-    Scan order is fixed: inked conflicts over all structures, then starved
-    structures (a digit neither inked nor a candidate anywhere), then cells
-    with empty candidate sets.
-    """
-    for s in range(27):
-        seen = 0
-        for c in CELLS_OF[s]:
-            d = grid.solved[c]
-            if not d:
-                continue
-            b = BIT[d]
-            if seen & b:
-                return ConsistencyIssue("conflict", structure=STRUCTURES[s], digit=d)
-            seen |= b
-    for s in range(27):
-        inked = 0
-        present = 0
-        for c in CELLS_OF[s]:
-            d = grid.solved[c]
-            if d:
-                inked |= BIT[d]
-            else:
-                present |= grid.masks[c]
-        missing = ALL_DIGITS & ~(inked | present)
-        if missing:
-            return ConsistencyIssue("starved", structure=STRUCTURES[s],
-                                    digit=DIGITS_OF[missing][0])
-    for c in range(81):
-        if not grid.solved[c] and not grid.masks[c]:
-            return ConsistencyIssue("empty_cell", cell=c)
-    return None

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import oracle
 from .grid import (BIT, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTS_OF,
-                   STRUCTURES, ContradictionFound, Grid, Structure, check_consistency,
+                   STRUCTURES, ContradictionFound, Grid, InconsistentGivens, Structure,
                    grid_from_ink, parse_grid, place_ink, serialize_grid)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
 from .phase2 import step3_fixpoint
@@ -88,12 +88,11 @@ class Starter(NamedTuple):
 class HypothesisView:
     label: str  # "circle" | "square"
     shadow: Grid
-    status: str = "alive"
-    reason: ContradictionFound | None = None
+    reason: ContradictionFound | None = None  # set when the view is contradicted
 
     @property
     def alive(self) -> bool:
-        return self.status == "alive"
+        return self.reason is None
 
     def retained(self, cell: int) -> int:
         """Candidate mask this hypothesis still allows in the cell."""
@@ -258,12 +257,11 @@ def dance_alone(view: HypothesisView, touched: set[int],
     needs to, since a live view stays a narrowing of the base (module
     docstring) and the base's changes never reach it.
 
-    A contradiction is captured in the view's status, never raised: it is a
-    useful result (the other hypothesis must be true)."""
+    A contradiction is captured as the view's ``reason``, never raised: it is
+    a useful result (the other hypothesis must be true)."""
     try:
         step3_fixpoint(view.shadow, trace=trace, view=view.label, touched=touched)
     except ContradictionFound as e:
-        view.status = "contradicted"
         view.reason = e
     return view
 
@@ -428,7 +426,8 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
 
     A ``Grid``'s pencil marks are rebuilt from its ink by ``grid_from_ink``,
     as ``parse_grid`` builds them: conflicting ink raises InconsistentGivens
-    before any work.
+    before any work.  The completed grid passes through ``grid_from_ink``
+    again, and a conflict there raises InconsistentSolution.
     """
     cfg = config or SolveConfig()
     grid = parse_grid(puzzle) if isinstance(puzzle, str) else grid_from_ink(puzzle.solved)
@@ -487,7 +486,8 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
         else:
             return failure("all_starters_stuck")
 
-    issue = check_consistency(grid)
-    if issue is not None:
-        raise InconsistentSolution(f"solver produced an inconsistent grid: {issue}")
+    try:
+        grid_from_ink(grid.solved)
+    except InconsistentGivens as e:
+        raise InconsistentSolution(f"solver produced an inconsistent grid: {e}") from e
     return SolveOutcome("solved", grid, start, trace, stats)

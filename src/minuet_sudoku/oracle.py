@@ -2,11 +2,12 @@
 
 Used to verify well-posedness, supply ground-truth solutions for soundness
 tests, and validate counterexample reports.  Deliberately shares nothing with
-the deduction modules: it imports only the grid type, the topology tables and
-the consistency check.  The search builds its own candidate masks from the
+the deduction modules: it imports only the grid type and the topology and
+bit tables.  The search builds its own candidate masks from the
 inked cells alone, ignoring the grid's pencil marks, and propagates naked and
 hidden singles with its own code before each branch, so it is a genuinely
-independent check on the solver.  The hidden-single search rescans only the
+independent check on the solver; conflicting ink is a dead end of that
+propagation.  The hidden-single search rescans only the
 units (rows, columns, boxes) whose masks changed since their last scan,
 kept as a 27-bit set, like Step 3's dirty structures but in its own code.
 A node branches on the bivalue cell with the most bivalue peers, where
@@ -18,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF, Grid,
-                   check_consistency)
+from .grid import ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF, Grid
 
 MIN_CLUES_FOR_UNIQUE = 17  # no 16-clue puzzle has a unique solution
 
@@ -129,18 +129,29 @@ def _branch_cell(cand: list[int]) -> int:
     return pick
 
 
+def _root(values: list[int]) -> list[int] | None:
+    """The inked cells' candidate masks at their singles fixpoint, or None at
+    a dead end, conflicting ink included (the first digit empties the second)."""
+    cand = [BIT[d] if d else ALL_DIGITS for d in values]
+    if _propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
+        return cand
+    return None
+
+
 def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
     """Count completions of the inked cells up to ``cap``; return (count, first solution).
 
-    The state is 81 candidate masks built from the inked cells alone.  Each
-    node propagates singles, then branches on ``_branch_cell``'s cell (the
-    best-linked bivalue cell, else one with the fewest candidates), digits
-    ascending, each branch on its own copy of the masks.  The root's
-    propagation starts with all 27 units dirty.  A node's masks are at the
-    singles fixpoint, so a branch differs from them only in the branched
-    cell and starts with that cell's three units dirty.
+    The state is 81 candidate masks built from the inked cells alone, at the
+    root by ``_root``.  Each node propagates singles, then branches on
+    ``_branch_cell``'s cell (the best-linked bivalue cell, else one with the
+    fewest candidates), digits ascending, each branch on its own copy of the
+    masks.  A node's masks are at the singles fixpoint, so a branch differs
+    from them only in the branched cell and starts with that cell's three
+    units dirty.
     """
-    cand = [BIT[d] if d else ALL_DIGITS for d in values]
+    cand = _root(values)
+    if cand is None:
+        return 0, None
     first: list[list[int]] = []
 
     def dfs(cand: list[int], budget: int) -> int:
@@ -159,8 +170,6 @@ def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
                     break
         return count
 
-    if not _propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
-        return 0, None
     n = dfs(cand, cap)
     return n, (first[0] if first else None)
 
@@ -190,14 +199,18 @@ def brute_solve(grid: Grid) -> Grid:
 def verify_well_posed(grid: Grid) -> WellPosedness:
     """Classify a puzzle as WellPosed / NoSolution / MultipleSolutions.
 
-    Fast path: conflicting ink is NoSolution, and fewer than 17 givens is
-    MultipleSolutions, both without any search.  Like the search, it reads
-    only the ink: the copy checked has full pencil marks.
+    Fast path below 17 givens, where no puzzle has a unique solution (though
+    it may have none): NoSolution when the singles from the givens dead-end
+    (``_root``), conflicting ink included, and otherwise MultipleSolutions,
+    with no search.  So a grid whose dead end only a search would find still
+    reads MultipleSolutions; both readings mean "not well-posed", and the
+    rule stands because acceptance criterion 8 forbids a search there.  From
+    17 givens on, the search decides.  Like the search, this reads only the
+    ink, never the grid's pencil marks.
     """
-    if check_consistency(Grid(grid.solved)) is not None:
-        return WellPosedness("no_solution")
     if grid.inked_count() < MIN_CLUES_FOR_UNIQUE:
-        return WellPosedness("multiple_solutions")
+        dead = _root(grid.solved) is None
+        return WellPosedness("no_solution" if dead else "multiple_solutions")
     n, sol = _search(grid.solved, 2)
     if n == 0:
         return WellPosedness("no_solution")

@@ -76,6 +76,9 @@ def test_verify_command(capsys):
     assert main(["verify", EASY[:16].ljust(81, ".")]) == 3
     assert capsys.readouterr().out.strip() == "MultipleSolutions"
     assert main(["verify", "55" + "." * 79]) == 3
+    # nine givens, and r1c9 sees all nine digits: no completion
+    assert main(["verify", "12345678." + "........9" + "." * 63]) == 3
+    assert capsys.readouterr().out.strip() == "NoSolution"
 
 
 def test_oracle_command(capsys):

@@ -2,8 +2,8 @@ import pytest
 
 from minuet_sudoku import (AlreadySolved, BadChar, Grid, InconsistentGivens,
                            NotACandidate, Structure, WrongLength, brute_solve,
-                           check_consistency, parse_grid, place_ink, serialize_grid)
-from minuet_sudoku.grid import BIT, CELLS_OF, PEERS, STRUCTS_OF, flat_structure, grid_from_ink
+                           parse_grid, place_ink, serialize_grid)
+from minuet_sudoku.grid import CELLS_OF, PEERS, STRUCTS_OF, flat_structure, grid_from_ink
 
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
 
@@ -51,6 +51,10 @@ def test_grid_from_ink_builds_the_parsed_grid():
         assert g.solved is not ink
     with pytest.raises(InconsistentGivens, match="digit 5 appears twice in box 0"):
         grid_from_ink([5] + [0] * 9 + [5] + [0] * 70)
+    row_conflict = [0] * 81
+    row_conflict[27] = row_conflict[30] = 5
+    with pytest.raises(InconsistentGivens, match="digit 5 appears twice in row 3"):
+        grid_from_ink(row_conflict)
 
 def test_serialize_empty_and_solved():
     assert serialize_grid(Grid()) == "." * 81
@@ -130,38 +134,6 @@ def test_place_ink_of_true_digit_never_empties_peers():
         trial = g.copy()
         place_ink(trial, c, truth.solved[c])
         assert all(trial.masks[p] or trial.solved[p] for p in PEERS[c])
-
-
-def test_check_consistency_ok_on_solved_grid():
-    assert check_consistency(parse_grid(EASY_SOLUTION)) is None
-
-
-def test_check_consistency_conflict():
-    g = Grid()
-    g.solved[27] = 5
-    g.solved[30] = 5  # both in row 3
-    issue = check_consistency(g)
-    assert issue.kind == "conflict"
-    assert issue.structure == Structure("row", 3)
-    assert issue.digit == 5
-
-
-def test_check_consistency_starved():
-    g = Grid()
-    for c in CELLS_OF[flat_structure(Structure("col", 2))]:
-        g.masks[c] &= ~BIT[9]
-    issue = check_consistency(g)
-    assert issue.kind == "starved"
-    assert issue.structure == Structure("col", 2)
-    assert issue.digit == 9
-
-
-def test_check_consistency_empty_cell():
-    g = Grid()
-    g.masks[40] = 0
-    issue = check_consistency(g)
-    assert issue.kind == "empty_cell"
-    assert issue.cell == 40
 
 
 def test_grid_equality_and_copy():

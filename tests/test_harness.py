@@ -13,7 +13,7 @@ from minuet_sudoku import (EmptyCorpus, FailureReport, SelfCheckFailed, Structur
                            load_corpus, parse_grid, render_report, render_trace,
                            serialize_grid, solve, validate_report, verify_well_posed)
 from minuet_sudoku import harness, minuet
-from minuet_sudoku.grid import ALL_DIGITS, BIT, ConsistencyIssue, Grid
+from minuet_sudoku.grid import ALL_DIGITS, BIT, Grid, InconsistentGivens
 from minuet_sudoku.harness import BatchStats
 
 from conftest import CORPORA, dig_minimal
@@ -123,14 +123,14 @@ def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkey
 def test_batch_aborts_on_an_inconsistent_solved_grid(tmp_path, monkeypatch, jobs):
     # solve()'s own soundness check fires on the completed grid of MEDIUM, a
     # puzzle the oracle verified: that is a self-check failure, not an error
-    real_check = minuet.check_consistency
+    real_from_ink = minuet.grid_from_ink
 
-    def flags_medium(grid):
-        if serialize_grid(grid) == MEDIUM_SOLUTION:
-            return ConsistencyIssue("conflict", Structure("row", 0), 9)
-        return real_check(grid)
+    def flags_medium(solved):
+        if "".join(map(str, solved)) == MEDIUM_SOLUTION:
+            raise InconsistentGivens("digit 9 appears twice in row 0")
+        return real_from_ink(solved)
 
-    monkeypatch.setattr(minuet, "check_consistency", flags_medium)
+    monkeypatch.setattr(minuet, "grid_from_ink", flags_medium)
     with pytest.raises(SelfCheckFailed, match="line 2: solver produced an inconsistent"):
         batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
 

@@ -11,7 +11,8 @@ from minuet_sudoku import (BothContradicted,
                            step3_fixpoint, validate_report)
 from minuet_sudoku import minuet
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF,
-                                STRUCTURES, Grid, InconsistentGivens, Structure, mask_of)
+                                STRUCTURES, ContradictionFound, Grid, InconsistentGivens,
+                                Structure, mask_of)
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
 from conftest import dig_minimal, random_full_grid
@@ -203,7 +204,7 @@ def test_dance_alone_records_a_step3_contradiction():
     view.shadow.masks[0] = view.shadow.masks[1] = BIT[4]
     events = []
     dance_alone(view, {0, 1}, events)
-    assert view.status == "contradicted"
+    assert not view.alive
     assert view.reason.kind == "empty_cell" and view.reason.cell == 1
     assert [(ev.step, ev.rule, ev.view, ev.inked) for ev in events] == [
         ("3.1", "naked single", "circle", ((0, 4),))]
@@ -372,7 +373,7 @@ def test_commit_requires_exactly_one_survivor():
     state = MinuetState(Starter("bivalue", (0,), (1, 2), None, 0), circle, square)
     with pytest.raises(ValueError):
         commit_retained(state, base)
-    circle.status = square.status = "contradicted"
+    circle.reason = square.reason = ContradictionFound("empty_cell", cell=0)
     with pytest.raises(BothContradicted):
         commit_retained(state, base)
 
@@ -383,7 +384,7 @@ def test_commit_inks_survivor_solves_and_narrows():
     circle = HypothesisView("circle", base.copy())
     square = HypothesisView("square", base.copy())
     place_ink(circle.shadow, 0, 1)
-    square.status = "contradicted"
+    square.reason = ContradictionFound("empty_cell", cell=0)
     state = MinuetState(Starter("bivalue", (0,), (1, 2), None, 0), circle, square)
     commit_retained(state, base)
     assert base.solved[0] == 1

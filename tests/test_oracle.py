@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from minuet_sudoku import (Grid, NotWellPosed, brute_solve, check_consistency,
-                           count_solutions, parse_grid, serialize_grid,
-                           verify_well_posed)
+from minuet_sudoku import (Grid, NotWellPosed, brute_solve, count_solutions,
+                           parse_grid, serialize_grid, verify_well_posed)
 from minuet_sudoku import oracle
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF,
                                 mask_of)
@@ -14,6 +13,15 @@ from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STR
 from conftest import dig_minimal, random_full_grid
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
 from test_golden_trace import stall_puzzles
+
+
+def obeys_the_rules(grid: Grid) -> bool:
+    """No digit is inked twice in one row, column or box."""
+    for unit in CELLS_OF:
+        inked = [grid.solved[c] for c in unit if grid.solved[c]]
+        if len(inked) != len(set(inked)):
+            return False
+    return True
 
 
 def test_count_solved_grid_is_one():
@@ -319,7 +327,7 @@ def test_brute_solve_returns_valid_completion(puzzle):
     g = parse_grid(puzzle)
     sol = brute_solve(g)
     assert sol.is_complete()
-    assert check_consistency(sol) is None
+    assert obeys_the_rules(sol)
     assert all(sol.solved[c] == g.solved[c] for c in range(81) if g.solved[c])
 
 
@@ -337,13 +345,70 @@ def sixteen_given_puzzle() -> str:
 
 def test_fast_path_sixteen_givens_skips_search(monkeypatch):
     g = parse_grid(sixteen_given_puzzle())
-    assert check_consistency(g) is None
+    assert obeys_the_rules(g)
 
     def boom(*args, **kwargs):
         raise AssertionError("search invoked on the <17-given fast path")
 
     monkeypatch.setattr(oracle, "_search", boom)
     assert verify_well_posed(g).status == "multiple_solutions"
+
+
+NINE_GIVEN_DEAD_END = "12345678." + "........9" + "." * 63  # r1c9 sees all nine digits
+
+
+def test_verify_dead_end_below_17_givens_is_no_solution(monkeypatch):
+    g = parse_grid(NINE_GIVEN_DEAD_END)
+    assert count_solutions(g) == 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("search invoked on the <17-given fast path")
+
+    monkeypatch.setattr(oracle, "_search", boom)
+    assert verify_well_posed(g).status == "no_solution"
+
+
+def planted_dead_ends(seed: int, n: int) -> list[str]:
+    """``n`` seeded grids of at most 16 givens whose singles dead-end: the
+    eight givens of one row of a full grid beside its empty cell ``c``,
+    ``c``'s digit inked elsewhere in its column (one given changed), and
+    more givens of the full grid that conflict with neither."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        full = random_full_grid(rng)
+        c = rng.randrange(81)
+        chars = ["."] * 81
+        for i in CELLS_OF[c // 9]:
+            if i != c:
+                chars[i] = full[i]
+        chars[rng.choice([i for i in CELLS_OF[9 + c % 9] if i != c])] = full[c]
+        for i in rng.sample(range(81), rng.randint(0, 7)):
+            if chars[i] == "." and i != c and all(chars[p] != full[i] for p in PEERS[i]):
+                chars[i] = full[i]
+        out.append("".join(chars))
+    return out
+
+
+def test_sparse_no_solution_verdicts_have_no_solution():
+    """Below 17 givens, a NoSolution verdict is never wrong and no grid has
+    exactly one completion: over seeded dug grids, the same grids with one
+    given changed, and planted dead ends."""
+    rng = random.Random(17)
+    cases = planted_dead_ends(16, 30)
+    for puzzle, _ in dug_grids(15, 40, (8, 16)):
+        cases += [puzzle, with_one_given_changed(rng, puzzle)]
+    seen = set()
+    for puzzle in cases:
+        g = parse_grid(puzzle)
+        assert g.inked_count() < oracle.MIN_CLUES_FOR_UNIQUE, puzzle
+        status = verify_well_posed(g).status
+        n = count_solutions(g)
+        assert n != 1, puzzle
+        if status == "no_solution":
+            assert n == 0, puzzle
+        seen.add(status)
+    assert seen == {"no_solution", "multiple_solutions"}
 
 
 def test_seventeen_givens_do_invoke_search(monkeypatch):
@@ -381,7 +446,7 @@ def test_verify_fixture_puzzles_well_posed(puzzle):
     wp = verify_well_posed(parse_grid(puzzle))
     assert wp.is_well_posed
     assert wp.solution.is_complete()
-    assert check_consistency(wp.solution) is None
+    assert obeys_the_rules(wp.solution)
 
 
 def test_verify_pins_every_fixed_input(full_corpus, solutions):
@@ -390,7 +455,7 @@ def test_verify_pins_every_fixed_input(full_corpus, solutions):
     for puzzle in full_corpus + [STALL]:
         wp = verify_well_posed(parse_grid(puzzle))
         assert wp.status == "well_posed", puzzle
-        assert wp.solution.is_complete() and check_consistency(wp.solution) is None, puzzle
+        assert wp.solution.is_complete() and obeys_the_rules(wp.solution), puzzle
         sol = serialize_grid(wp.solution)
         assert all(ch == s or ch in ".0" for ch, s in zip(puzzle, sol)), puzzle
         if puzzle in solutions:
@@ -398,10 +463,17 @@ def test_verify_pins_every_fixed_input(full_corpus, solutions):
 
 
 def test_oracle_imports_nothing_from_the_deduction_modules():
+    """The oracle imports from the package only ``.grid``, and from it only the
+    grid type and the topology and bit tables: no checker of the grid's own."""
     imported = set()
+    from_grid = set()
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
+            if node.level == 1 and node.module == "grid":
+                from_grid.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported == {"__future__", "dataclasses", ".grid"}
+    assert from_grid == {"Grid", "ALL_DIGITS", "BIT", "CELLS_OF", "DIGITS_OF", "PEERS",
+                         "STRUCT_SET_OF"}

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "record_bench.py"
 
 FAKE_RUN = """\
 import json, sys
@@ -60,3 +61,10 @@ def test_record_bench_writes_nothing_after_a_raised_operation(tmp_path, monkeypa
     with pytest.raises(SystemExit, match="1 operation\\(s\\) raised"):
         tool.main(["7", "--checkout", str(checkout)])
     assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_readme_names_every_bench_record():
+    readme = (ROOT / "README.md").read_text()
+    records = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+    assert records
+    assert [name for name in records if f"`{name}`" not in readme] == []
