@@ -6,6 +6,7 @@ resist the method."""
 from pathlib import Path
 
 from minuet_sudoku import batch_solve, load_corpus, render_report, solve
+from minuet_sudoku.generate import STALL
 
 CORPORA = Path(__file__).resolve().parents[1] / "corpora"
 
@@ -16,10 +17,8 @@ print(result.stats.render())
 
 # A 21-clue puzzle engineered so that neither hypothesis of any starter
 # develops far enough to matter: every starter dances to a stall.
-EXTREME = ("800000000003600000070090200050007000000045700"
-           "000100030001000068008500010090000400")
 print("\nnow an extreme hand-crafted puzzle:")
-outcome = solve(EXTREME)
+outcome = solve(STALL)
 print(f"outcome: {outcome.status} ({outcome.reason})")
 print()
 print(render_report(outcome.report))

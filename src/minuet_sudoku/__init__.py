@@ -8,7 +8,7 @@ from .grid import (Grid, Structure, GridError, WrongLength, BadChar,
 from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
 from .phase1 import HalfDoubleRegistry, Phase1Run, step1_fixpoint, step2_fill
-from .phase2 import FixpointRun, detect_singles, step3_fixpoint
+from .phase2 import FixpointRun, step3_fixpoint
 from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
                      SolveStats, SolveOutcome, FailureReport, NoStarters,
                      BothContradicted, InconsistentSolution, enumerate_starters,

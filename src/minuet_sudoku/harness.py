@@ -245,17 +245,22 @@ def validate_report(report: FailureReport,
                     verdict: oracle.WellPosedness | None = None) -> None:
     """Independently check a counterexample report before it is published.
 
-    The puzzle must really be well-posed, the residual grid must agree with
-    the puzzle's givens, and every residual cell must still admit the
-    oracle's solution digit (otherwise a rule was unsound, not the method
-    incomplete).  Raises SelfCheckFailed on any violation.
+    The puzzle must really be well-posed, the residual must be 81 cells
+    with 81 candidate masks, every residual ink must be the oracle's
+    solution digit (so it keeps the givens and has no conflict), and every
+    other residual cell must still admit that digit (otherwise a rule was
+    unsound, not the method incomplete).  Raises SelfCheckFailed on any
+    violation.
 
     ``verdict`` is the oracle's verdict on ``report.puzzle``, when the caller
     already holds it: ``batch_solve`` passes each entry's one verdict, after
     checking that the report names that entry's puzzle.  Without it, the
     oracle runs here.  Every residual check runs either way.
     """
-    start = parse_grid(report.puzzle)
+    try:
+        start = parse_grid(report.puzzle)
+    except GridError as e:
+        raise SelfCheckFailed(f"report puzzle does not parse: {e}") from e
     wp = verdict if verdict is not None else oracle.verify_well_posed(start)
     if wp.status != report.oracle_status:
         raise SelfCheckFailed(
@@ -263,15 +268,18 @@ def validate_report(report: FailureReport,
     if not wp.is_well_posed:
         raise SelfCheckFailed(f"puzzle is not well-posed ({wp.status}): not a counterexample")
     truth = wp.solution
-    residual = parse_grid(report.residual)
+    residual = report.residual
+    if (len(residual) != 81 or len(report.residual_candidates) != 81
+            or not set(residual) <= set(".123456789")):
+        raise SelfCheckFailed("residual is not 81 cells of '.' or 1-9 with 81 candidate masks")
     for c in range(81):
-        if start.solved[c] and residual.solved[c] != start.solved[c]:
+        ink = 0 if residual[c] == "." else int(residual[c])
+        if start.solved[c] and ink != start.solved[c]:
             raise SelfCheckFailed(f"residual grid dropped the given in cell {c}")
         d = truth.solved[c]
-        if residual.solved[c]:
-            if residual.solved[c] != d:
-                raise SelfCheckFailed(
-                    f"residual cell {c} inked {residual.solved[c]} but solution has {d}")
+        if ink:
+            if ink != d:
+                raise SelfCheckFailed(f"residual cell {c} inked {ink} but solution has {d}")
         elif not report.residual_candidates[c] & (1 << (d - 1)):
             raise SelfCheckFailed(
                 f"residual cell {c} lost the solution digit {d}: a rule is unsound")

@@ -420,9 +420,14 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     contradiction or an exhausted binary choice, which sound rules only reach
     on inputs without a unique solution, or a stall on such an input).
 
+    An adoption (``run_minuet``) takes one view's completion without
+    looking at the other view, which is sound only when the puzzle has one
+    solution.  So a solve that ends by adoption is Solved only when the
+    oracle verifies the puzzle as well-posed, and IllPosedDetected otherwise.
+
     ``verdict`` is the oracle's verdict on this puzzle when the caller
-    already holds one; it is consulted only when the method stalls.  Without
-    it, a stall runs the oracle itself.
+    already holds one; it is consulted only when the method stalls or ends
+    by adoption.  Without it, those ends run the oracle themselves.
 
     A ``Grid``'s pencil marks are rebuilt from its ink by ``grid_from_ink``,
     as ``parse_grid`` builds them: conflicting ink raises InconsistentGivens
@@ -439,8 +444,11 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     def ill_posed(reason: str) -> SolveOutcome:
         return SolveOutcome("ill_posed", grid, start, trace, stats, reason=reason)
 
+    def oracle_verdict() -> oracle.WellPosedness:
+        return verdict if verdict is not None else oracle.verify_well_posed(start)
+
     def failure(reason: str) -> SolveOutcome:
-        wp = verdict if verdict is not None else oracle.verify_well_posed(start)
+        wp = oracle_verdict()
         if not wp.is_well_posed:
             return ill_posed(f"{reason}; oracle says {wp.status}")
         report = FailureReport(
@@ -464,6 +472,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     except ContradictionFound as e:
         return ill_posed(str(e))
 
+    adopted = False
     while not grid.is_complete():
         try:
             starters = enumerate_starters(grid)
@@ -481,6 +490,10 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
             stats.minuet_rounds += 1
             if outcome == "progress" and not (state.circle.alive and state.square.alive):
                 stats.commits += 1
+            # a "solved" minuet with a complete view adopted it; dance_together
+            # runs only when neither view is complete
+            adopted = outcome == "solved" and (state.circle.shadow.is_complete()
+                                               or state.square.shadow.is_complete())
             if outcome != "stuck":
                 break
         else:
@@ -490,4 +503,8 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
         grid_from_ink(grid.solved)
     except InconsistentGivens as e:
         raise InconsistentSolution(f"solver produced an inconsistent grid: {e}") from e
+    if adopted:
+        wp = oracle_verdict()
+        if not wp.is_well_posed:
+            return ill_posed(f"adopted a completion; oracle says {wp.status}")
     return SolveOutcome("solved", grid, start, trace, stats)

@@ -276,7 +276,7 @@ def step1_fixpoint(grid: Grid, registry: HalfDoubleRegistry,
 
 
 def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
-               *, trace: list | None = None) -> list[TraceEvent]:
+               *, trace: list | None = None) -> None:
     """Prune every cell down to its non-blocked candidates and ink naked singles.
 
     Ink blockages are already reflected in the masks; this applies the
@@ -306,4 +306,3 @@ def step2_fill(grid: Grid, registry: HalfDoubleRegistry,
         if not m & (m - 1):
             ev = place_ink(grid, c, DIGITS_OF[m][0], step="2", rule="naked single")
             events.append(ev)
-    return events

@@ -2,8 +2,9 @@ import pytest
 
 from minuet_sudoku import cli, harness, solve
 from minuet_sudoku.cli import main
+from minuet_sudoku.generate import STALL
 
-from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
+from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
 
 
 def test_solve_command_prints_solution(capsys):
@@ -68,6 +69,14 @@ def test_solve_command_stall_on_blank_grid_exits_ill_posed(capsys):
     out = capsys.readouterr().out
     assert "ill-posed: no_starters; oracle says multiple_solutions" in out
     assert "CONJECTURE FAILURE REPORT" not in out
+
+
+def test_solve_command_adoption_on_multiple_solutions_exits_ill_posed(capsys):
+    puzzle = "7......544........8...9.2.......13....3.7....51.2.......752...8...1.4.2....9..1.."
+    assert main(["solve", puzzle]) == 3
+    assert capsys.readouterr().out.strip() == (
+        "ill-posed: adopted a completion; oracle says multiple_solutions")
+    assert main(["verify", puzzle]) == 3
 
 
 def test_verify_command(capsys):

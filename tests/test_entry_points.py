@@ -10,8 +10,7 @@ from pathlib import Path
 import pytest
 
 from minuet_sudoku import count_solutions, load_corpus, parse_grid
-
-from puzzles import STALL
+from minuet_sudoku.generate import STALL
 
 ROOT = Path(__file__).resolve().parents[1]
 GENERATOR = ROOT / "tools" / "generate_corpus.py"
@@ -38,16 +37,20 @@ def test_demo_exits_zero(demo):
 
 
 def test_generator_emits_uniquely_solvable_puzzles(tmp_path):
-    proc = run_script(GENERATOR, "--easy", "2", "--medium", "1", "--hard", "1",
+    """At the default seed the generator writes the start of each committed
+    corpus: all of easy.txt and the first medium and hard puzzles."""
+    proc = run_script(GENERATOR, "--easy", "100", "--medium", "1", "--hard", "1",
                       "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     sizes = {}
     for tier in ("easy", "medium", "hard"):
+        written = (tmp_path / f"{tier}.txt").read_text()
+        assert (ROOT / "corpora" / f"{tier}.txt").read_text().startswith(written), tier
         puzzles = [e.text for e in load_corpus(tmp_path / f"{tier}.txt").entries]
         sizes[tier] = len(puzzles)
         for puzzle in puzzles:
             assert count_solutions(parse_grid(puzzle), 2) == 1, puzzle
-    assert sizes == {"easy": 2, "medium": 1, "hard": 1}
+    assert sizes == {"easy": 100, "medium": 1, "hard": 1}
 
 
 def test_classify_puts_a_stall_in_the_hard_tier():
@@ -57,7 +60,7 @@ def test_classify_puts_a_stall_in_the_hard_tier():
 def test_generator_keeps_a_stall_in_hard_and_lists_it(tmp_path, monkeypatch):
     generator = load_generator()
     dug = iter([STALL])  # a second dig raises instead of looping forever
-    monkeypatch.setattr(generator, "dig_minimal", lambda solution, rng: next(dug))
+    monkeypatch.setattr(generator, "dig_minimal", lambda rng: next(dug))
     monkeypatch.setattr(sys, "argv", ["generate_corpus.py", "--easy", "0", "--medium", "0",
                                       "--hard", "1", "--outdir", str(tmp_path)])
     assert generator.main() == 0

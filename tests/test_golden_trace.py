@@ -20,8 +20,7 @@ import random
 import pytest
 
 from minuet_sudoku import SolveConfig, solve
-
-from puzzles import STALL, random_isomorph
+from minuet_sudoku.generate import STALL, random_isomorph
 
 GOLDEN = {
     False: "a7486d20a16a5102b907c7d069c8e28c664354b5952e85ed536fc3ab28d44fa7",

@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minuet_sudoku import (EmptyCorpus, FailureReport, SelfCheckFailed, Structure,
-                           batch_solve, brute_solve, confidence_upper_bound, detect_singles,
-                           load_corpus, parse_grid, render_report, render_trace,
-                           serialize_grid, solve, validate_report, verify_well_posed)
+                           batch_solve, brute_solve, confidence_upper_bound, load_corpus,
+                           parse_grid, render_report, render_trace, serialize_grid, solve,
+                           validate_report, verify_well_posed)
 from minuet_sudoku import harness, minuet
-from minuet_sudoku.grid import ALL_DIGITS, BIT, Grid, InconsistentGivens
+from minuet_sudoku.generate import STALL, dig_minimal
+from minuet_sudoku.grid import ALL_DIGITS, BIT, PEERS, Grid, InconsistentGivens
 from minuet_sudoku.harness import BatchStats
+from minuet_sudoku.phase2 import detect_singles
 
-from conftest import CORPORA, dig_minimal
-from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, MEDIUM_SOLUTION, STALL, TRICKY
+from conftest import CORPORA
+from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, MEDIUM_SOLUTION, TRICKY
 
 
 # --- corpus loading ---------------------------------------------------------
@@ -235,9 +237,18 @@ def _lose_the_solution_digit(report, solution):
     report.residual_candidates = tuple(masks)
 
 
+def _ink_a_conflict(report, solution):
+    # ink an empty residual cell with the digit of an inked peer
+    cell = next(c for c in range(81) if report.residual[c] == "."
+                and any(report.residual[p] != "." for p in PEERS[c]))
+    peer = next(p for p in PEERS[cell] if report.residual[p] != ".")
+    report.residual = (report.residual[:cell] + report.residual[peer]
+                       + report.residual[cell + 1:])
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("corrupt", [_name_another_puzzle, _drop_a_given,
-                                     _lose_the_solution_digit])
+                                     _lose_the_solution_digit, _ink_a_conflict])
 def test_batch_aborts_on_a_report_that_fails_its_self_check(tmp_path, monkeypatch,
                                                             corrupt, jobs):
     real_solve = harness.solve
@@ -408,6 +419,10 @@ def test_validate_report_catches_corruption():
     report.residual_candidates = tuple(corrupted)
     with pytest.raises(SelfCheckFailed):
         validate_report(report)
+    short = solve(STALL).report
+    short.residual_candidates = short.residual_candidates[:80]
+    with pytest.raises(SelfCheckFailed, match="81 candidate masks"):
+        validate_report(short)
 
 
 def test_validate_report_rejects_a_puzzle_that_is_not_well_posed():
@@ -420,3 +435,6 @@ def test_validate_report_rejects_a_puzzle_that_is_not_well_posed():
         validate_report(report)
     with pytest.raises(SelfCheckFailed, match="not well-posed"):
         validate_report(report, verify_well_posed(parse_grid(blank)))
+    report.puzzle = "55" + "." * 79  # conflicting givens do not even make a grid
+    with pytest.raises(SelfCheckFailed, match="does not parse"):
+        validate_report(report)

@@ -8,16 +8,16 @@ from minuet_sudoku import (BothContradicted,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
-                           step3_fixpoint, validate_report)
+                           step3_fixpoint, validate_report, verify_well_posed)
 from minuet_sudoku import minuet
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCTS_OF,
                                 STRUCTURES, ContradictionFound, Grid, InconsistentGivens,
                                 Structure, mask_of)
+from minuet_sudoku.generate import STALL, dig_minimal, random_isomorph, random_solution
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
-from conftest import dig_minimal, random_full_grid
-from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, STALL,
-                     TRICKY, TRICKY_SOLUTION, random_isomorph)
+from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, TRICKY,
+                     TRICKY_SOLUTION)
 from test_golden_trace import stall_puzzles
 
 
@@ -108,7 +108,7 @@ def test_enumerate_starters_matches_reference(hard_corpus):
     grids = [at_fixpoint(p) for p in hard_corpus]
     rng = random.Random(41)
     for _ in range(40):
-        chars = list(random_full_grid(rng))
+        chars = list(random_solution(rng))
         for c in rng.sample(range(81), rng.randrange(20, 60)):
             chars[c] = "."
         g = parse_grid("".join(chars))
@@ -553,6 +553,31 @@ def test_solve_no_starters_reason_on_blank_grid():
     assert outcome.status == "ill_posed"
     assert outcome.reason == "no_starters; oracle says multiple_solutions"
     assert outcome.report is None
+
+
+def test_solve_adopts_a_completion_only_of_a_well_posed_puzzle(hard_corpus, monkeypatch):
+    """An adoption takes one view's completion without looking at the other,
+    which is sound only when the puzzle has one solution.  On hard puzzles
+    with one given dropped, solve() says solved only when the oracle says
+    well-posed, and a caller's verdict stands in for the oracle."""
+    adopted = 0
+    for puzzle in hard_corpus[::10]:
+        i = puzzle.index(next(ch for ch in puzzle if ch != "."))
+        dropped = puzzle[:i] + "." + puzzle[i + 1:]
+        wp = verify_well_posed(parse_grid(dropped))
+        outcome = solve(dropped)
+        if not wp.is_well_posed:
+            assert outcome.status == "ill_posed", dropped
+            adopted += any(ev.rule.startswith("adopt ") for ev in outcome.trace)
+    assert adopted  # the adoption path was exercised on an ill-posed puzzle
+
+    multiple = "7......544........8...9.2.......13....3.7....51.2.......752...8...1.4.2....9..1.."
+    verdict = verify_well_posed(parse_grid(multiple))
+    monkeypatch.setattr(minuet.oracle, "verify_well_posed", None)
+    outcome = solve(multiple, verdict=verdict)
+    assert any(ev.rule.startswith("adopt ") for ev in outcome.trace)
+    assert outcome.status == "ill_posed"
+    assert outcome.reason == "adopted a completion; oracle says multiple_solutions"
 
 
 def test_solve_detects_unsolvable_grid():

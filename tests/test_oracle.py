@@ -6,12 +6,12 @@ import pytest
 
 from minuet_sudoku import (Grid, NotWellPosed, brute_solve, count_solutions,
                            parse_grid, serialize_grid, verify_well_posed)
-from minuet_sudoku import oracle
+from minuet_sudoku import generate, oracle
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF,
                                 mask_of)
+from minuet_sudoku.generate import STALL, dig_minimal, random_solution
 
-from conftest import dig_minimal, random_full_grid
-from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, STALL
+from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
 from test_golden_trace import stall_puzzles
 
 
@@ -85,7 +85,7 @@ def dug_grids(seed: int, n: int, clues: tuple[int, int]) -> list[tuple[str, str]
     rng = random.Random(seed)
     out = []
     for _ in range(n):
-        full = random_full_grid(rng)
+        full = random_solution(rng)
         chars = list(full)
         for c in rng.sample(range(81), 81 - rng.randint(*clues)):
             chars[c] = "."
@@ -376,7 +376,7 @@ def planted_dead_ends(seed: int, n: int) -> list[str]:
     rng = random.Random(seed)
     out = []
     for _ in range(n):
-        full = random_full_grid(rng)
+        full = random_solution(rng)
         c = rng.randrange(81)
         chars = ["."] * 81
         for i in CELLS_OF[c // 9]:
@@ -462,18 +462,31 @@ def test_verify_pins_every_fixed_input(full_corpus, solutions):
             assert sol == solutions[puzzle]  # brute_solve gives the same completion
 
 
-def test_oracle_imports_nothing_from_the_deduction_modules():
-    """The oracle imports from the package only ``.grid``, and from it only the
-    grid type and the topology and bit tables: no checker of the grid's own."""
+def imports_of(module) -> tuple[set[str], set[str]]:
+    """The modules ``module`` imports, package modules with a leading dot, and
+    the names it imports from ``.grid``."""
     imported = set()
     from_grid = set()
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
             if node.level == 1 and node.module == "grid":
                 from_grid.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return imported, from_grid
+
+
+def test_oracle_imports_nothing_from_the_deduction_modules():
+    """The oracle imports from the package only ``.grid``, and from it only the
+    grid type and the topology and bit tables: no checker of the grid's own."""
+    imported, from_grid = imports_of(oracle)
     assert imported == {"__future__", "dataclasses", ".grid"}
     assert from_grid == {"Grid", "ALL_DIGITS", "BIT", "CELLS_OF", "DIGITS_OF", "PEERS",
                          "STRUCT_SET_OF"}
+
+
+def test_generate_imports_from_the_package_only_grid_and_oracle():
+    """Generated puzzles do not depend on the deduction modules they test."""
+    imported, _ = imports_of(generate)
+    assert {m for m in imported if m.startswith(".")} == {".grid", ".oracle"}

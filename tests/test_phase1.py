@@ -9,10 +9,10 @@ from minuet_sudoku import (ContradictionFound, HalfDoubleRegistry, Structure, br
 from minuet_sudoku import phase1
 from minuet_sudoku.grid import (BIT, BOX_OF, CELLS_OF, COL_OF, DIGITS_OF, ROW_OF,
                                 STRUCT_BITS, Grid, block_group, mask_of)
+from minuet_sudoku.generate import STALL, dig_minimal, random_isomorph, random_solution
 from minuet_sudoku.trace import TraceEvent
 
-from conftest import dig_minimal, random_full_grid
-from puzzles import EASY, HARD, MEDIUM, STALL, random_isomorph
+from puzzles import EASY, HARD, MEDIUM
 
 
 def grid_with(assignments: dict[int, int]) -> Grid:
@@ -75,7 +75,7 @@ def test_available_cells_eight_inked_cells():
 def test_available_cells_contains_true_cell_on_random_positions():
     rng = random.Random(11)
     for _ in range(10):
-        sol = random_full_grid(rng)
+        sol = random_solution(rng)
         chars = list(sol)
         for c in rng.sample(range(81), 50):
             chars[c] = "."

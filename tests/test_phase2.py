@@ -3,16 +3,16 @@ from itertools import chain, combinations
 
 import pytest
 
-from minuet_sudoku import (ContradictionFound, Structure, brute_solve, detect_singles,
-                           enumerate_starters, parse_grid, phase2, place_ink,
-                           serialize_grid, step3_fixpoint)
+from minuet_sudoku import (ContradictionFound, Structure, brute_solve, enumerate_starters,
+                           parse_grid, phase2, place_ink, serialize_grid, step3_fixpoint)
+from minuet_sudoku.generate import STALL, random_isomorph, random_solution
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF,
                                 STRUCTURES, Grid, cells_at, digit_positions,
                                 flat_structure, mask_of)
+from minuet_sudoku.phase2 import detect_singles
 from minuet_sudoku.trace import TraceEvent
 
-from conftest import random_full_grid
-from puzzles import EASY, HARD, MEDIUM, STALL, TRICKY, random_isomorph
+from puzzles import EASY, HARD, MEDIUM, TRICKY
 
 
 def scan_groups(grid: Grid, s: Structure, k: int, trace: list | None = None,
@@ -491,7 +491,7 @@ def test_step3_never_erases_the_solution(puzzle):
 def test_cleanup_soundness_on_random_positions():
     rng = random.Random(17)
     for _ in range(15):
-        sol = random_full_grid(rng)
+        sol = random_solution(rng)
         chars = list(sol)
         for c in rng.sample(range(81), rng.randrange(30, 55)):
             chars[c] = "."

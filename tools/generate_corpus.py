@@ -25,70 +25,8 @@ import sys
 import time
 from pathlib import Path
 
-from minuet_sudoku import (Grid, count_solutions, detect_singles, parse_grid,
-                           place_ink, serialize_grid, solve)
-from minuet_sudoku.grid import STRUCTURES, ContradictionFound
-
-
-def random_solution(rng: random.Random) -> str:
-    g = Grid()
-    def fill(i: int) -> bool:
-        if i == 81:
-            return True
-        opts = list(g.candidates(i))
-        rng.shuffle(opts)
-        for d in opts:
-            snap = (g.solved.copy(), g.masks.copy())
-            place_ink(g, i, d)
-            if all(g.masks[j] or g.solved[j] for j in range(81)):
-                if fill(i + 1):
-                    return True
-            g.solved, g.masks = snap
-        return False
-    if not fill(0):
-        raise RuntimeError("random fill failed")
-    return serialize_grid(g)
-
-
-def singles_solvable(puzzle: str) -> bool:
-    """True if naked/hidden singles alone finish the puzzle."""
-    g = parse_grid(puzzle)
-    try:
-        while True:
-            found = 0
-            for s in STRUCTURES:
-                found += len(detect_singles(g, s))
-            if not found:
-                break
-    except ContradictionFound:
-        return False
-    return g.is_complete()
-
-
-def dig_minimal(solution: str, rng: random.Random) -> str:
-    """Remove cells in random order while the puzzle stays uniquely solvable."""
-    chars = list(solution)
-    order = list(range(81))
-    rng.shuffle(order)
-    for c in order:
-        keep = chars[c]
-        chars[c] = "."
-        if count_solutions(parse_grid("".join(chars)), 2) != 1:
-            chars[c] = keep
-    return "".join(chars)
-
-
-def dig_easy(solution: str, rng: random.Random) -> str:
-    """Remove cells while the puzzle stays singles-solvable (hence unique)."""
-    chars = list(solution)
-    order = list(range(81))
-    rng.shuffle(order)
-    for c in order:
-        keep = chars[c]
-        chars[c] = "."
-        if not singles_solvable("".join(chars)):
-            chars[c] = keep
-    return "".join(chars)
+from minuet_sudoku import solve
+from minuet_sudoku.generate import dig_easy, dig_minimal, singles_solvable
 
 
 def classify(puzzle: str) -> str:
@@ -121,7 +59,7 @@ def main() -> int:
 
     easy: list[str] = []
     while len(easy) < args.easy:
-        easy.append(dig_easy(random_solution(rng), rng))
+        easy.append(dig_easy(rng))
     print(f"easy: {len(easy)} generated", flush=True)
 
     medium: list[str] = []
@@ -132,7 +70,7 @@ def main() -> int:
     tried = 0
     while len(hard) < args.hard or len(medium) < args.medium:
         tried += 1
-        puzzle = dig_minimal(random_solution(rng), rng)
+        puzzle = dig_minimal(rng)
         tier = classify(puzzle)
         if tier == "medium" and len(medium) < args.medium:
             medium.append(puzzle)
