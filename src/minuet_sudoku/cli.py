@@ -1,7 +1,8 @@
 """Command-line surface: solve, verify, oracle, and batch subcommands.
 
 Exit codes: 0 success/solved, 1 usage or puzzle-format error, or a batch puzzle
-that raised, 2 conjecture failure, 3 ill-posed input.
+that raised, 2 conjecture failure, 3 ill-posed input, 4 failed self-check (a
+result that disagrees with the oracle or breaks the rules: a rule is unsound).
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from pathlib import Path
 
 from . import oracle
 from .grid import (GridError, InconsistentGivens, parse_grid, serialize_grid)
-from .harness import (EmptyCorpus, batch_solve, check_batch_options, load_corpus,
-                      render_report, render_trace)
-from .minuet import SolveConfig, solve
+from .harness import (EmptyCorpus, SelfCheckFailed, batch_solve, check_batch_options,
+                      load_corpus, render_report, render_trace)
+from .minuet import InconsistentSolution, SolveConfig, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
 EXIT_ILL_POSED = 3
+EXIT_SELF_CHECK = 4
 
 TRACE_LEVELS = ("summary", "full")
 
@@ -147,6 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentGivens as e:
         print(f"ill-posed: {e}", file=sys.stderr)
         return EXIT_ILL_POSED
+    except (SelfCheckFailed, InconsistentSolution) as e:
+        print(f"self-check failed: {e}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except (GridError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

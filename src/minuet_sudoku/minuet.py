@@ -420,10 +420,24 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     contradiction or an exhausted binary choice, which sound rules only reach
     on inputs without a unique solution, or a stall on such an input).
 
-    An adoption (``run_minuet``) takes one view's completion without
-    looking at the other view, which is sound only when the puzzle has one
-    solution.  So a solve that ends by adoption is Solved only when the
-    oracle verifies the puzzle as well-posed, and IllPosedDetected otherwise.
+    Lemma: on a well-posed puzzle the outcome (status, ink and masks) is
+    the greatest common fixpoint of Step 3 and the dilemma rule over bivalue
+    cells and half doubles, so it depends neither on the order of
+    ``enumerate_starters`` nor on Phase I.  Each Step-3 rule and each minuet
+    (a base narrowed to the union of the two views' closures, or to the
+    survivor's closure) only narrows, and each is monotone: on a narrower
+    grid it narrows at least as far or reaches a contradiction, and a
+    narrower grid keeps every starter or settles it.  Chaotic iteration of
+    monotone narrowing rules ends at one greatest common fixpoint whatever
+    the order (Apt, "The essence of constraint propagation", 1999), and
+    Phase I's finds all lie inside it.  Only the trace and ``SolveStats``
+    follow the path taken.
+
+    Adoption is the one step that needs a unique solution.  An adoption
+    (``run_minuet``) takes one view's completion without looking at the
+    other view, which is sound only when the puzzle has one solution.  So a
+    solve that ends by adoption is Solved only when the oracle verifies the
+    puzzle as well-posed, and IllPosedDetected otherwise.
 
     ``verdict`` is the oracle's verdict on this puzzle when the caller
     already holds one; it is consulted only when the method stalls or ends

@@ -10,6 +10,9 @@ independent check on the solver; conflicting ink is a dead end of that
 propagation.  The hidden-single search rescans only the
 units (rows, columns, boxes) whose masks changed since their last scan,
 kept as a 27-bit set, like Step 3's dirty structures but in its own code.
+A unit scan keeps the unit's placed digits apart, so it looks for hidden
+singles only among the digits of unsolved cells; that is exact because a
+unit is scanned only after every placed digit is erased from its peers.
 A node branches on the bivalue cell with the most bivalue peers, where
 there is one: either digit there narrows the linked pairs at once, so the
 searches stay small while a node costs what it did.
@@ -51,6 +54,13 @@ def _propagate(cand: list[int], todo: list[int], dirty: int) -> bool:
     dirty.  After a unit yields a hidden single the naked singles run again
     before the remaining dirty units are scanned.
 
+    A unit scan ORs the masks of the unit's placed cells into ``held`` and
+    those of its unsolved cells into ``seen`` and ``twice``, so ``once =
+    seen & ~twice`` holds only digits with one unsolved place, each of them
+    a hidden single or a dead end.  This is exact: a unit is scanned only
+    when ``todo`` is empty, so every placed digit is already erased from the
+    unit's other cells, and ``seen | held`` is the union of all its masks.
+
     Returns False at a dead end: a cell with no candidate, a unit with a
     digit that fits nowhere, or a cell that is the only place of two digits.
     Each stays a dead end under any further narrowing, so the result, and
@@ -75,12 +85,15 @@ def _propagate(cand: list[int], todo: list[int], dirty: int) -> bool:
             u = (dirty & -dirty).bit_length() - 1
             dirty &= dirty - 1
             unit = CELLS_OF[u]
-            seen = twice = 0
+            held = seen = twice = 0
             for c in unit:
                 m = cand[c]
-                twice |= seen & m
-                seen |= m
-            if seen != ALL_DIGITS:
+                if m & (m - 1):
+                    twice |= seen & m
+                    seen |= m
+                else:
+                    held |= m
+            if seen | held != ALL_DIGITS:
                 return False
             once = seen & ~twice
             if once:
@@ -103,26 +116,24 @@ def _branch_cell(cand: list[int]) -> int:
     with the most bivalue peers, ties by ascending index: a pair that sees
     many pairs settles many cells through the naked singles either branch
     forces.  With no bivalue cell, the cell with the fewest candidates, ties
-    by ascending index.  The choice changes only the order of the search:
-    the count up to a cap, and the solution when it is unique, are the same
-    for any choice.
+    by ascending index.  The candidates are counted once, in one C-level
+    pass, and the bivalue cells are read from those counts.  The choice
+    changes only the order of the search: the count up to a cap, and the
+    solution when it is unique, are the same for any choice.
     """
+    counts = list(map(int.bit_count, cand))
+    twos = []  # the bivalue cells, ascending
     pairs = 0  # 81-bit board of the bivalue cells
-    pick, best = -1, 10
-    for i, m in enumerate(cand):
-        if m & (m - 1):
-            n = m.bit_count()
-            if n == 2:
-                pairs |= 1 << i
-            elif n < best:
-                pick, best = i, n
+    c = -1
+    for _ in range(counts.count(2)):
+        c = counts.index(2, c + 1)
+        twos.append(c)
+        pairs |= 1 << c
     if not pairs:
-        return pick
-    best = -1
-    rest = pairs
-    while rest:
-        c = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
+        best = min((n for n in counts if n > 1), default=0)
+        return counts.index(best) if best else -1
+    pick, best = -1, -1
+    for c in twos:
         score = (pairs & PEER_BITS[c]).bit_count()
         if score > best:
             pick, best = c, score

@@ -1,6 +1,6 @@
 import pytest
 
-from minuet_sudoku import cli, harness, solve
+from minuet_sudoku import cli, harness, minuet, solve
 from minuet_sudoku.cli import main
 from minuet_sudoku.generate import STALL
 
@@ -139,6 +139,40 @@ def test_batch_command_reports_errors_and_exits_one(tmp_path, capsys, monkeypatc
     assert f"{corpus}:1: ValueError: no luck" in captured.err
     assert f"{corpus}:2: ValueError: no luck" in captured.err
     assert "errors:               2" in captured.out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_self_check_failure_exits_four(tmp_path, capsys, monkeypatch, jobs):
+    """An unsound result aborts the batch with one stderr line and exit 4, in
+    the parent process and from a worker alike."""
+    def unsound(report, verdict=None):
+        raise harness.SelfCheckFailed("residual cell 0 inked 1 but solution has 2")
+
+    monkeypatch.setattr(harness, "validate_report", unsound)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n{STALL}\n")
+    assert main(["batch", str(corpus), "--jobs", jobs]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "self-check failed: residual cell 0 inked 1 but solution has 2\n"
+    assert captured.out == ""
+
+
+def test_solve_command_inconsistent_solution_exits_four(capsys, monkeypatch):
+    """A completed grid that breaks the rules is a failed self-check, not a
+    usage error."""
+    real = minuet.grid_from_ink
+
+    def conflicted_when_complete(values):
+        if all(values):
+            raise minuet.InconsistentGivens("digit 1 twice in row 1")
+        return real(values)
+
+    monkeypatch.setattr(minuet, "grid_from_ink", conflicted_when_complete)
+    assert main(["solve", EASY]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("self-check failed: solver produced an inconsistent grid: "
+                            "digit 1 twice in row 1\n")
+    assert captured.out == ""
 
 
 def test_batch_command_empty_corpus(tmp_path, capsys):

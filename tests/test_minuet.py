@@ -16,7 +16,9 @@ from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STR
 from minuet_sudoku.generate import STALL, dig_minimal, random_isomorph, random_solution
 from minuet_sudoku.minuet import MinuetState, HypothesisView
 
-from puzzles import (EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, TRICKY,
+from minuet_sudoku.phase1 import Phase1Run
+
+from puzzles import (CLIMB_STALLS, EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, TRICKY,
                      TRICKY_SOLUTION)
 from test_golden_trace import stall_puzzles
 
@@ -544,6 +546,46 @@ def test_solve_commutes_with_isomorphs(hard_corpus):
             if src.report is not None:
                 assert img.report.reason == src.report.reason
                 assert img.report.residual == iso.apply(src.report.residual)
+
+
+@pytest.fixture(scope="module")
+def lemma_cases(hard_corpus):
+    """(puzzle, verdict, plain outcome) for every 4th hard puzzle, the golden
+    stall set and the climb stalls."""
+    cases = []
+    for puzzle in hard_corpus[::4] + stall_puzzles() + list(CLIMB_STALLS):
+        wp = verify_well_posed(parse_grid(puzzle))
+        outcome = solve(puzzle, verdict=wp)
+        cases.append((puzzle, wp, (outcome.status, outcome.grid.solved, outcome.grid.masks)))
+    return cases
+
+
+@pytest.mark.parametrize("variant", ["reversed", "shuffled", "no_phase1"])
+def test_outcome_is_a_function_of_the_puzzle(lemma_cases, monkeypatch, variant):
+    """The lemma of ``solve()``: the status, ink and masks do not depend on
+    the order of the starters or on Phase I.  Traces and ``SolveStats``
+    follow the path and are not compared."""
+    real = minuet.enumerate_starters
+    rng = random.Random(2206)
+
+    def shuffled(grid):
+        starters = real(grid)
+        rng.shuffle(starters)
+        return starters
+
+    if variant == "reversed":
+        monkeypatch.setattr(minuet, "enumerate_starters", lambda grid: real(grid)[::-1])
+    elif variant == "shuffled":
+        monkeypatch.setattr(minuet, "enumerate_starters", shuffled)
+    else:
+        monkeypatch.setattr(minuet, "step1_fixpoint", lambda *a, **kw: Phase1Run())
+        monkeypatch.setattr(minuet, "step2_fill", lambda *a, **kw: None)
+    for puzzle, wp, plain in lemma_cases:
+        outcome = solve(puzzle, verdict=wp)
+        assert (outcome.status, outcome.grid.solved, outcome.grid.masks) == plain, puzzle
+    statuses = [plain[0] for _, _, plain in lemma_cases]
+    assert statuses.count("conjecture_failure") == 25 + len(CLIMB_STALLS)
+    assert statuses.count("solved") == len(statuses) - statuses.count("conjecture_failure")
 
 
 def test_solve_no_starters_reason_on_blank_grid():

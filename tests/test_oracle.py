@@ -295,7 +295,8 @@ def test_branch_cell_falls_back_to_the_fewest_candidates():
 
 def test_golden_stall_searches_stay_small(monkeypatch):
     """Each search of the golden stall set makes at most 300 propagations
-    (the root's included).  The fewest-candidates order made up to 769."""
+    (the root's included), 5,863 in all.  The fewest-candidates order made
+    up to 769.  A cheaper node must leave the tree as it is."""
     calls = []
     real = oracle._propagate
 
@@ -310,6 +311,63 @@ def test_golden_stall_searches_stay_small(monkeypatch):
         assert count_solutions(parse_grid(puzzle)) == 1
         sizes.append(len(calls))
     assert max(sizes) <= 300, sizes
+    assert sum(sizes) == 5863
+
+
+def linked_pairs_branch_cell(cand: list[int]) -> int:
+    """``oracle._branch_cell`` as one loop over the masks: the reference for
+    its pick.  Bivalue cells go into an 81-bit board, the fewest-candidates
+    cell is kept on the way, and then each pair is scored by its bivalue
+    peers, ties to the lowest index."""
+    pairs = 0
+    pick, best = -1, 10
+    for i, m in enumerate(cand):
+        if m & (m - 1):
+            n = m.bit_count()
+            if n == 2:
+                pairs |= 1 << i
+            elif n < best:
+                pick, best = i, n
+    if not pairs:
+        return pick
+    best = -1
+    rest = pairs
+    while rest:
+        c = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        score = (pairs & oracle.PEER_BITS[c]).bit_count()
+        if score > best:
+            pick, best = c, score
+    return pick
+
+
+def test_golden_stall_nodes_match_the_references(monkeypatch):
+    """At every node of the golden stall searches, ``_propagate`` reaches the
+    full scan's verdict and masks, and ``_branch_cell`` picks the reference
+    loop's cell."""
+    real_propagate, real_branch = oracle._propagate, oracle._branch_cell
+    propagations, branches = [], []
+
+    def check_propagate(cand, todo, dirty):
+        ref, ref_todo = cand.copy(), todo.copy()
+        ok = real_propagate(cand, todo, dirty)
+        assert ok == full_scan_propagate(ref, ref_todo)
+        assert not ok or cand == ref
+        propagations.append(ok)
+        return ok
+
+    def check_branch(cand):
+        pick = real_branch(cand)
+        assert pick == linked_pairs_branch_cell(cand)
+        branches.append(pick)
+        return pick
+
+    monkeypatch.setattr(oracle, "_propagate", check_propagate)
+    monkeypatch.setattr(oracle, "_branch_cell", check_branch)
+    for puzzle in stall_puzzles():
+        assert count_solutions(parse_grid(puzzle)) == 1
+    assert len(propagations) == 5863 and propagations.count(False) > 1000
+    assert branches.count(-1) == 25  # one leaf per search: its unique solution
 
 
 def test_brute_solve_identity_on_solved_grid():

@@ -68,3 +68,65 @@ def test_readme_names_every_bench_record():
     records = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
     assert records
     assert [name for name in records if f"`{name}`" not in readme] == []
+
+
+FAKE_PAIR_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(LOG, "a") as f:
+    f.write(f"{SIDE} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
+value = BASE + int(args["--seed"]) % 7
+print(json.dumps({"correct": CORRECT, "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": value, "unit": "u"} for name in NAMES}}))
+"""
+
+
+def load_pairs_tool(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fake_side(root: Path, side: str, base: float, log: Path, correct: bool = True) -> Path:
+    """A checkout whose run.py logs each call and reads ``base`` plus the
+    seed modulo 7 on every end-to-end metric of BENCHMARK.json."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        FAKE_PAIR_RUN.replace("LOG", repr(str(log))).replace("SIDE", repr(side))
+        .replace("BASE", str(base)).replace("CORRECT", str(correct))
+        .replace("NAMES", repr(names)))
+    return root
+
+
+def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch, capsys):
+    tool = load_pairs_tool(monkeypatch)
+    log = tmp_path / "log"
+    parent = fake_side(tmp_path / "parent", "parent", 10.0, log)
+    change = fake_side(tmp_path / "change", "change", 8.0, log)
+    assert tool.main(["stall", "--parent", str(parent), "--change", str(change),
+                      "--seed", "900", "--pairs", "3"]) == 0
+    assert log.read_text().splitlines() == [
+        "parent 900 30.0 0", "change 900 30.0 0",
+        "change 901 30.0 0", "parent 901 30.0 0",
+        "parent 902 30.0 0", "change 902 30.0 0"]
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    # seeds 900-902 add 4, 5 and 6: parent 14, 15, 16 and change 12, 13, 14
+    assert rows["oracle_ms_p50"].split() == [
+        "oracle_ms_p50", "15", "[14.5,", "15.5]", "13", "[12.5,", "13.5]", "1", "-13.3%",
+        "3/3"]
+    assert rows["solve_puzzles_per_s"].endswith("0/3")  # higher is better there
+    assert rows["oracle_ms_p50:"] == "  oracle_ms_p50: 14->12  15->13  16->14"
+
+
+def test_bench_pairs_stops_at_a_wrong_answer(tmp_path, monkeypatch):
+    tool = load_pairs_tool(monkeypatch)
+    log = tmp_path / "log"
+    parent = fake_side(tmp_path / "parent", "parent", 10.0, log)
+    change = fake_side(tmp_path / "change", "change", 8.0, log, correct=False)
+    with pytest.raises(SystemExit, match="wrong answers"):
+        tool.main(["minuet", "--parent", str(parent), "--change", str(change),
+                   "--seed", "1", "--pairs", "4"])
+    assert log.read_text().splitlines() == ["parent 1 30.0 0", "change 1 30.0 0"]

@@ -33,10 +33,10 @@ SEED = 4242
 SECONDS = 30.0
 
 
-def run_once(checkout: Path, workload: str, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, trace: int, seed: int = SEED) -> dict:
     """One perfbench run; returns its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
