@@ -68,17 +68,6 @@ def flat_structure(s: Structure) -> int:
     return offset + s.index
 
 
-def digit_positions(masks: list[int], s: int) -> list[int]:
-    """Structure ``s`` as a digit -> positions table: bit ``i`` of entry ``d``
-    is set when ``d`` is a candidate of ``CELLS_OF[s][i]``.  Cells ascend, so
-    bit order is cell order."""
-    pos = [0] * 10
-    for i, c in enumerate(CELLS_OF[s]):
-        for d in DIGITS_OF[masks[c]]:
-            pos[d] |= 1 << i
-    return pos
-
-
 def cells_at(s: int, positions: int) -> tuple[int, ...]:
     """The cells of structure ``s`` at the set bits of a position mask."""
     cells = CELLS_OF[s]

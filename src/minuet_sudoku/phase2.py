@@ -1,22 +1,24 @@
 """Basic cleanup: scan all 27 structures for naked/hidden singles, doubles and
 triples, apply the blocking-rule cleanups after each find, iterate to fixpoint.
 
-A scan keeps no state between calls.  The singles scan makes one pass over
-a structure's cells: it finds empty cells and naked singles and ORs the
-masks into ``seen`` and ``twice`` (digits with one place or more, two or
-more), so a digit neither inked nor in ``twice`` is starved or a hidden
-single.  A naked group is ``k`` cells whose masks span ``k`` digits, a
-hidden group ``k`` digits whose positions (``grid.digit_positions``) span
-``k`` cells.  The group scan builds the position table only once no naked
-group erased anything, and reuses it until a cleanup erases.
+A scan keeps no state between calls.  A structure visit (``_scan``) reads
+one tally pass over its cells (``_tally``): the inked digits, empty cells,
+the first naked single, the cells with 2 and with 2-3 candidates, and the
+place accumulators ``seen``, ``twice``, ``thrice`` and ``four`` (digits with
+at least one, two, three, four places).  A digit neither inked nor in
+``twice`` is starved or a hidden single.  Once no single is left, the group
+scan of size ``k`` reads the same tally: a naked group is ``k`` of the cells
+with 2..k candidates whose masks span ``k`` digits, a hidden group ``k`` of
+the digits with 2..k places (``twice & ~thrice`` for doubles, ``twice &
+~four`` for triples) whose positions span ``k`` cells.  Positions are built
+for those digits only, and only when there are ``k`` of them; the tally is
+taken again only after a cleanup erases.
 
 Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
 cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
 group form a smaller group of the other kind, which the earlier scans look
-for.  The singles scan returns the unsolved count it ends with, so
-``step3_fixpoint`` skips the group scan of a structure with fewer than 4.
-Quadruples would need 8+ unsolved cells and are rare enough that hunting
-them never pays, so they are deliberately not implemented.
+for.  Quadruples would need 8+ unsolved cells and are rare enough that
+hunting them never pays, so they are deliberately not implemented.
 
 Every find is logged as one ``TraceEvent`` (step "3.1", "3.2" or "3.3"),
 and that event is the only record of it: ``detect_singles`` returns the
@@ -34,7 +36,7 @@ from itertools import combinations
 
 from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF, STRUCTURES,
                    ContradictionFound, Grid, Structure, block_group, cells_at,
-                   digit_positions, flat_structure, mask_of, place_ink)
+                   flat_structure, mask_of, place_ink)
 from .trace import TraceEvent
 
 GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
@@ -78,62 +80,89 @@ def _ink(grid, cell, digit, step, rule, s, events, view) -> int:
     return STRUCT_SET_OF[cell] | _structures_hit(ev.erased)
 
 
-def _scan_singles(grid: Grid, s: int, events: list,
-                  view: str | None) -> tuple[int, int]:
-    """Ink singles until none is left: an empty cell raises first, then the
-    lowest naked single is inked, else the lowest digit that is starved
-    (raises) or a hidden single (inked).  Returns the structure's unsolved
-    cell count at the end and the structures the inks changed (27-bit)."""
-    cells = CELLS_OF[s]
+def _tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
+    """One pass over a structure's cells.  Returns the inked digits, the
+    first naked single (or None), the digits with one place or more and with
+    two or more, and a tuple indexed by group size ``k`` (2 or 3) of the
+    cells with 2..k candidates and the digits with 2..k places.  Raises on
+    an empty cell."""
     masks = grid.masks
     solved = grid.solved
-    hit = 0
-    while True:
-        inked_mask = seen = twice = 0
-        naked = None
-        for c in cells:
-            m = masks[c]
+    inked = seen = twice = thrice = four = 0
+    naked = None
+    pairs, small = [], []
+    for c in cells:
+        m = masks[c]
+        if solved[c]:
+            inked |= BIT[solved[c]]
+        elif not m:
+            raise ContradictionFound("empty_cell", cell=c)
+        else:
+            four |= thrice & m
+            thrice |= twice & m
             twice |= seen & m
             seen |= m
-            if solved[c]:
-                inked_mask |= BIT[solved[c]]
-            elif not m:
-                raise ContradictionFound("empty_cell", cell=c)
-            elif naked is None and not m & (m - 1):  # single bit
-                naked = c
+            n = m.bit_count()
+            if n == 1:
+                if naked is None:
+                    naked = c
+            elif n <= 3:
+                small.append(c)
+                if n == 2:
+                    pairs.append(c)
+    return inked, naked, seen, twice, (None, None, (pairs, twice & ~thrice),
+                                       (small, twice & ~four))
+
+
+def _scan(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
+          view: str | None, use_guards: bool) -> int:
+    """Ink singles until none is left: an empty cell raises first, then the
+    lowest naked single is inked, else the lowest digit that is starved
+    (raises) or a hidden single (inked).  Then run ``_scan_size`` for each
+    size of ``sizes`` (ascending) that the guard lets through.  Returns the
+    structures the inks and cleanups changed (27-bit)."""
+    cells = CELLS_OF[s]
+    masks = grid.masks
+    hit = 0
+    while True:
+        inked, naked, seen, twice, by_size = _tally(grid, cells)
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
             hit |= _ink(grid, naked, d, "3.1", "naked single", s, events, view)
             continue
-        lone = ALL_DIGITS & ~(inked_mask | twice)  # starved or hidden single
+        lone = ALL_DIGITS & ~(inked | twice)  # starved or hidden single
         if not lone:
-            return 9 - inked_mask.bit_count(), hit
+            break
         b = lone & -lone
         d = b.bit_length()
         if not seen & b:
             raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
         c = next(c for c in cells if masks[c] & b)
         hit |= _ink(grid, c, d, "3.1", "hidden single", s, events, view)
-
-
-def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
-                 view: str | None, use_guards: bool) -> int:
-    """For each size ``k`` in turn, clean up (Rule 21) the first group whose
-    cleanup erases something, log it, and look again, until no group erases
-    anything.  Groups come in ``combinations`` order of the cells (naked),
-    then of the digits (hidden), with 2..k candidates or positions each and
-    k together.  A position table is reused until a cleanup erases.  Returns
-    the structures the cleanups changed (27-bit)."""
-    masks = grid.masks
-    unsolved = [c for c in CELLS_OF[s] if not grid.solved[c]]
-    pos = None
-    hit = 0
     for k in sizes:
-        if use_guards and len(unsolved) < 2 * k:
+        if use_guards and 9 - inked.bit_count() < 2 * k:
             break  # sizes ascend, so every later size is guarded too
-        step, size = GROUP_NAMES[k]
-        while True:
-            small = [c for c in unsolved if 2 <= masks[c].bit_count() <= k]
+        found, by_size = _scan_size(grid, s, k, by_size, events, view)
+        hit |= found
+    return hit
+
+
+def _scan_size(grid: Grid, s: int, k: int, by_size: tuple, events: list,
+               view: str | None) -> tuple[int, tuple]:
+    """Clean up (Rule 21) the first group of size ``k`` whose cleanup erases
+    something, log it, and look again, until no group erases anything.
+    Groups come in ``combinations`` order of the cells with 2..k candidates
+    (naked), then of the digits with 2..k places (hidden), from ``by_size``
+    (``_tally``'s), which is taken again after each find.  Positions are
+    built for those digits only.  Returns the structures the cleanups
+    changed (27-bit) and the tallies the structure ends with."""
+    masks = grid.masks
+    step, size = GROUP_NAMES[k]
+    hit = 0
+    while True:
+        small, few = by_size[k]
+        erased = None
+        if len(small) >= k:
             for cells in combinations(small, k):
                 union = 0
                 for c in cells:
@@ -143,26 +172,26 @@ def _scan_groups(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
                     erased = _cleanup_group(grid, cells, union)
                     if erased:
                         break
-            else:
-                if pos is None:
-                    pos = digit_positions(masks, s)
-                small = [d for d in range(1, 10) if 2 <= pos[d].bit_count() <= k]
-                for digits in combinations(small, k):
-                    union = 0
-                    for d in digits:
-                        union |= pos[d]
-                    if union.bit_count() == k:
-                        kind, cells = "hidden", cells_at(s, union)
-                        erased = _cleanup_group(grid, cells, mask_of(digits))
-                        if erased:
-                            break
-                else:
-                    break  # no group of size k erases anything
-            pos = None
-            hit |= _structures_hit(erased)
-            events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
-                                     cells, digits, (), tuple(erased)))
-    return hit
+        if not erased and few.bit_count() >= k:
+            pos = [0] * 10
+            for i, c in enumerate(CELLS_OF[s]):
+                for d in DIGITS_OF[masks[c] & few]:
+                    pos[d] |= 1 << i
+            for digits in combinations(DIGITS_OF[few], k):
+                union = 0
+                for d in digits:
+                    union |= pos[d]
+                if union.bit_count() == k:
+                    kind, cells = "hidden", cells_at(s, union)
+                    erased = _cleanup_group(grid, cells, mask_of(digits))
+                    if erased:
+                        break
+        if not erased:
+            return hit, by_size  # no group of size k erases anything
+        hit |= _structures_hit(erased)
+        events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
+                                 cells, digits, (), tuple(erased)))
+        by_size = _tally(grid, CELLS_OF[s])[4]
 
 
 def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
@@ -171,7 +200,7 @@ def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
     Returns the events appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    _scan_singles(grid, flat_structure(s), events, view)
+    _scan(grid, flat_structure(s), (), events, view, True)
     return events[start:]
 
 
@@ -205,9 +234,7 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
         while dirty:
             s = (dirty & -dirty).bit_length() - 1
             dirty &= dirty - 1
-            unsolved, hit = _scan_singles(grid, s, events, view)
-            if unsolved >= 4 or not use_guards:
-                hit |= _scan_groups(grid, s, (2, 3), events, view, use_guards)
+            hit = _scan(grid, s, (2, 3), events, view, use_guards)
             behind = (2 << s) - 1
             dirty |= hit & ~behind
             later |= hit & behind

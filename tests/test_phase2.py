@@ -7,8 +7,7 @@ from minuet_sudoku import (ContradictionFound, Structure, brute_solve, enumerate
                            parse_grid, phase2, place_ink, serialize_grid, step3_fixpoint)
 from minuet_sudoku.generate import STALL, random_isomorph, random_solution
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF,
-                                STRUCTURES, Grid, cells_at, digit_positions,
-                                flat_structure, mask_of)
+                                STRUCTURES, Grid, cells_at, flat_structure, mask_of)
 from minuet_sudoku.phase2 import detect_singles
 from minuet_sudoku.trace import TraceEvent
 
@@ -18,10 +17,11 @@ from puzzles import EASY, HARD, MEDIUM, TRICKY
 def scan_groups(grid: Grid, s: Structure, k: int, trace: list | None = None,
                 use_guards: bool = True) -> list[TraceEvent]:
     """Scan one structure for groups of size ``k`` (2 doubles, 3 triples)
-    as Step 3 does; returns the events appended, one per find."""
+    with the position-table reference scan below; returns the events
+    appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    phase2._scan_groups(grid, flat_structure(s), (k,), events, None, use_guards)
+    table_scan_groups(grid, flat_structure(s), (k,), events, None, use_guards)
     return events[start:]
 
 
@@ -177,16 +177,15 @@ def test_step3_on_solved_grid_is_one_empty_sweep():
 
 
 def full_sweeps(grid: Grid, events: list) -> list[int]:
-    """Step 3 without dirty tracking: scan all 27 structures every sweep
-    until a sweep finds nothing.  Appends the events; returns the finds per
-    sweep."""
+    """Step 3 without dirty tracking, from the position-table reference
+    scans below: scan all 27 structures every sweep until a sweep finds
+    nothing.  Appends the events; returns the finds per sweep."""
     per_sweep = []
     while True:
-        n = 0
-        for s in STRUCTURES:
-            n += len(detect_singles(grid, s, trace=events))
-            n += len(scan_groups(grid, s, 2, trace=events))
-            n += len(scan_groups(grid, s, 3, trace=events))
+        start = len(events)
+        for s in range(27):
+            table_scan(grid, s, (2, 3), events, None, True)
+        n = len(events) - start
         per_sweep.append(n)
         if not n:
             return per_sweep
@@ -258,10 +257,29 @@ def table_ink(grid: Grid, cell: int, digit: int, rule: str, s: int, events: list
     touched.update(c for c, _ in ev.erased)
 
 
-def table_scan_singles(grid: Grid, s: int, events: list, view) -> tuple[int, int]:
+def digit_positions(masks: list[int], s: int) -> list[int]:
+    """Structure ``s`` as a digit -> positions table: bit ``i`` of entry ``d``
+    is set when ``d`` is a candidate of ``CELLS_OF[s][i]``.  Cells ascend, so
+    bit order is cell order."""
+    pos = [0] * 10
+    for i, c in enumerate(CELLS_OF[s]):
+        for d in DIGITS_OF[masks[c]]:
+            pos[d] |= 1 << i
+    return pos
+
+
+def table_scan(grid: Grid, s: int, sizes: tuple[int, ...], events: list, view,
+               use_guards: bool) -> int:
+    """Step 3's structure scan, a drop-in for ``phase2._scan`` that shares
+    none of its tallies: the singles, then each group size, each read from
+    position tables.  Returns the structures holding a cell it changed."""
+    return (table_scan_singles(grid, s, events, view)
+            | table_scan_groups(grid, s, sizes, events, view, use_guards))
+
+
+def table_scan_singles(grid: Grid, s: int, events: list, view) -> int:
     """The singles scan read from a position table built for every look.
-    Returns the structure's unsolved cells, counted at the end, and the
-    structures holding a cell it changed."""
+    Returns the structures holding a cell it changed."""
     cells = CELLS_OF[s]
     masks = grid.masks
     solved = grid.solved
@@ -291,7 +309,7 @@ def table_scan_singles(grid: Grid, s: int, events: list, view) -> tuple[int, int
                 table_ink(grid, c, d, "hidden single", s, events, view, touched)
                 break
         else:
-            return sum(not solved[c] for c in cells), structures_of(touched)
+            return structures_of(touched)
 
 
 def table_groups(items: list[tuple[int, int]], k: int):
@@ -401,15 +419,16 @@ def row_double_at_four() -> Grid:
 
 
 def step3_group_scans(grid: Grid, monkeypatch) -> tuple[list, list[int]]:
-    """Step 3's events on ``grid`` and the structures whose group scan ran."""
+    """Step 3's events on ``grid`` and the structures whose group scan ran,
+    once per size scanned."""
     scanned = []
-    real_scan_groups = phase2._scan_groups
+    real_scan_size = phase2._scan_size
 
-    def scan_groups(grid, s, *args):
+    def scan_size(grid, s, *args):
         scanned.append(s)
-        return real_scan_groups(grid, s, *args)
+        return real_scan_size(grid, s, *args)
 
-    monkeypatch.setattr(phase2, "_scan_groups", scan_groups)
+    monkeypatch.setattr(phase2, "_scan_size", scan_size)
     events = []
     step3_fixpoint(grid, trace=events)
     return events, scanned
@@ -444,8 +463,7 @@ def test_step3_scans_match_position_table_scans(full_corpus, solutions, monkeypa
         view = "circle" if kind == "danced" else None
         reference = grid.copy()
         with monkeypatch.context() as m:
-            m.setattr(phase2, "_scan_singles", table_scan_singles)
-            m.setattr(phase2, "_scan_groups", table_scan_groups)
+            m.setattr(phase2, "_scan", table_scan)
             want = run_step3(reference, touched, view)
         got = run_step3(grid, touched, view)  # leaves a parsed grid at its fixpoint
         assert got == want, (kind, touched, serialize_grid(grid))

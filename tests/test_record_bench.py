@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,28 @@ def test_record_bench_writes_nothing_after_a_raised_operation(tmp_path, monkeypa
     with pytest.raises(SystemExit, match="1 operation\\(s\\) raised"):
         tool.main(["7", "--checkout", str(checkout)])
     assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def git(repo: Path, *args: str) -> str:
+    out = subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                         cwd=repo, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def test_commit_of_marks_a_tree_with_edited_tracked_files_dirty(tmp_path):
+    tool = load_tool()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git(repo, "add", "a.txt")
+    git(repo, "commit", "-q", "-m", "one")
+    sha = git(repo, "rev-parse", "HEAD")
+    assert tool.commit_of(repo) == sha
+    (repo / "new.txt").write_text("untracked\n")
+    assert tool.commit_of(repo) == sha
+    (repo / "a.txt").write_text("two\n")
+    assert tool.commit_of(repo) == f"{sha}-dirty"
 
 
 def test_readme_names_every_bench_record():

@@ -50,13 +50,19 @@ def run_once(checkout: Path, workload: str, trace: int, seed: int = SEED) -> dic
 
 
 def commit_of(checkout: Path) -> str | None:
-    """The checkout's HEAD commit; None when it is not a git checkout of its
-    own (an exported tree inside another repository must not borrow its HEAD)."""
+    """The checkout's HEAD commit, with ``-dirty`` appended when a tracked
+    file differs from it (untracked files do not count); None when it is not
+    a git checkout of its own (an exported tree inside another repository
+    must not borrow its HEAD)."""
     if not (checkout / ".git").exists():
         return None
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                          capture_output=True, text=True)
-    return out.stdout.strip() if out.returncode == 0 else None
+    if out.returncode != 0:
+        return None
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                            cwd=checkout, capture_output=True, text=True, check=True)
+    return out.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def main(argv: list[str] | None = None) -> int:
