@@ -72,11 +72,12 @@ def test_step3_closure_at_every_starter_base(hard_corpus, monkeypatch):
     for puzzle in hard_corpus:
         solve(puzzle)
     assert len(bases) == 425
-    assert [(i, step3_finds(g)) for i, g in enumerate(bases) if step3_finds(g)] == []
+    assert {i: finds for i, g in enumerate(bases) if (finds := step3_finds(g))} == {}
 
 
 def test_step3_closure_at_every_stall_residual():
+    """The residual a stall ends on is at a Step-3 fixpoint."""
     outcomes = [solve(puzzle) for puzzle in stall_puzzles() + list(CLIMB_STALLS)]
     assert [o.status for o in outcomes] == ["conjecture_failure"] * 33
     residuals = [o.grid for o in outcomes]
-    assert [(i, step3_finds(g)) for i, g in enumerate(residuals) if step3_finds(g)] == []
+    assert {i: finds for i, g in enumerate(residuals) if (finds := step3_finds(g))} == {}
