@@ -9,6 +9,12 @@ grid that breaks the rules, a failed report or a contradiction (which sound
 rules cannot reach on a well-posed puzzle) raises SelfCheckFailed and aborts
 the run, since it means a deduction rule is unsound.  Conjecture failures are
 emitted as validated, machine-readable counterexample reports.
+
+With ``jobs > 1`` the calling process is one of the batch's workers and
+forks the others for that call only.  A self-check that fails in any worker
+aborts the batch and stops every child, and a child that dies without
+sending its results raises ChildProcessError instead of leaving the batch
+waiting.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from . import oracle
@@ -140,6 +146,18 @@ def _run_entry(entry: CorpusEntry) -> PuzzleResult:
         "oracle verified as well-posed")
 
 
+def _run_share(entries: list[CorpusEntry], conn) -> None:
+    """A batch worker's body: run ``_run_entry`` over its share of the
+    entries and send back one ``("ok", results)``, or ``("raised", exc)``
+    for the first exception, which the caller re-raises."""
+    try:
+        message = ("ok", [_run_entry(entry) for entry in entries])
+    except Exception as e:
+        message = ("raised", e)
+    conn.send(message)
+    conn.close()
+
+
 @dataclass(slots=True)
 class BatchStats:
     puzzles: int
@@ -205,19 +223,51 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     (the conjecture quantifies over well-posed puzzles only), and so are
     entries whose oracle check or solve raised, counted as errors.  Results are
     canonicalized by corpus line number, so aggregate output is identical
-    for any worker count.  At most ``jobs`` worker processes start, never more
-    than there are entries, and none for a single entry.  Raises ValueError,
-    before any solve, when ``check_batch_options`` rejects ``jobs`` or
-    ``level``, and SelfCheckFailed when a well-posed entry's result fails its
-    self-check.
+    for any worker count.
+
+    At most ``jobs`` processes work, this one among them: it forks at most
+    ``jobs - 1`` children, never more than the entries minus one, and none
+    for a single entry or ``jobs=1``.  With ``w`` workers, child ``k`` runs
+    ``entries[k::w]`` and sends its results back through its own pipe, and
+    this process runs ``entries[0::w]``.  Every child has exited and been
+    joined when this returns or raises.
+
+    Raises ValueError, before any solve, when ``check_batch_options``
+    rejects ``jobs`` or ``level``; SelfCheckFailed when a well-posed entry's
+    result fails its self-check, in any worker; and ChildProcessError, naming
+    the exit code, when a child exits without sending its results.
     """
     check_batch_options(jobs, level)
-    workers = min(jobs, len(corpus.entries))
-    if workers > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_run_entry, corpus.entries)
-    else:
-        results = [_run_entry(entry) for entry in corpus.entries]
+    entries = corpus.entries
+    workers = max(1, min(jobs, len(entries)))
+    children = []  # (process, receiving end) per forked worker
+    try:
+        for k in range(1, workers):
+            receiver, sender = Pipe(duplex=False)
+            child = Process(target=_run_share, args=(entries[k::workers], sender))
+            child.start()
+            sender.close()  # before the next fork, so a dead child reads as EOF
+            children.append((child, receiver))
+        results = [_run_entry(entry) for entry in entries[0::workers]]
+        for child, receiver in children:
+            try:
+                outcome, payload = receiver.recv()
+            except EOFError:
+                outcome, payload = "died", None
+            child.join()
+            if outcome == "died":
+                raise ChildProcessError(
+                    f"batch worker exited with code {child.exitcode} "
+                    "before sending its results")
+            if outcome == "raised":
+                raise payload
+            results += payload
+    finally:
+        for child, receiver in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receiver.close()
     results.sort(key=lambda r: r.line_no)
 
     reports = [(r.line_no, r.report) for r in results if r.status == "failure"]

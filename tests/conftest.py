@@ -1,3 +1,4 @@
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,14 @@ import pytest
 from minuet_sudoku import brute_solve, load_corpus, parse_grid, serialize_grid
 
 CORPORA = Path(__file__).resolve().parents[1] / "corpora"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail any test that leaves a child process running: ``batch_solve``
+    must stop every worker it forks, whether it returns or raises."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

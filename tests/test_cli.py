@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from minuet_sudoku import cli, harness, minuet, solve
@@ -154,6 +156,25 @@ def test_batch_self_check_failure_exits_four(tmp_path, capsys, monkeypatch, jobs
     assert main(["batch", str(corpus), "--jobs", jobs]) == 4
     captured = capsys.readouterr()
     assert captured.err == "self-check failed: residual cell 0 inked 1 but solution has 2\n"
+    assert captured.out == ""
+
+
+def test_batch_worker_that_dies_exits_one(tmp_path, capsys, monkeypatch):
+    test_pid = os.getpid()
+    real_run_entry = harness._run_entry
+
+    def dies_on_line_2_in_a_child(entry):
+        if entry.line_no == 2 and os.getpid() != test_pid:
+            os._exit(7)
+        return real_run_entry(entry)
+
+    monkeypatch.setattr(harness, "_run_entry", dies_on_line_2_in_a_child)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{EASY}\n{MEDIUM}\n")
+    assert main(["batch", str(corpus), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: batch worker exited with code 7 "
+                            "before sending its results\n")
     assert captured.out == ""
 
 

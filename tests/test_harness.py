@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import random
 import time
 
@@ -58,6 +60,20 @@ def small_corpus(tmp_path, lines):
     return load_corpus(path)
 
 
+# The abort tests run a failing entry beside a good one.  With jobs=2 over two
+# entries the caller runs line 1 itself and one forked child runs line 2, so
+# the failing entry's line puts it in either share.
+ABORT_CASES = pytest.mark.parametrize("jobs,failing_line", [
+    pytest.param(1, 2, id="1"),
+    pytest.param(2, 2, id="2"),
+    pytest.param(2, 1, id="2-parent-share"),
+])
+
+
+def two_entries(good, failing, failing_line):
+    return [failing, good] if failing_line == 1 else [good, failing]
+
+
 def test_batch_solves_and_verifies(tmp_path):
     result = batch_solve(small_corpus(tmp_path, [EASY, MEDIUM, HARD, TRICKY]))
     assert result.stats.puzzles == 4
@@ -90,22 +106,24 @@ def test_batch_counts_conjecture_failures(tmp_path):
 def test_batch_aborts_on_oracle_mismatch(tmp_path, monkeypatch):
     real_solve = harness.solve
 
-    def sabotaged(grid, cfg=None, **kwargs):
+    def sabotaged_on_medium(grid, cfg=None, **kwargs):
         outcome = real_solve(grid, cfg, **kwargs)
-        if outcome.status == "solved":
+        if serialize_grid(grid) == MEDIUM:
             a, b = outcome.grid.solved[0], outcome.grid.solved[1]
             outcome.grid.solved[0], outcome.grid.solved[1] = b, a
         return outcome
 
-    monkeypatch.setattr(harness, "solve", sabotaged)
-    for jobs in (1, 2):  # two entries, so jobs=2 runs in worker processes
-        with pytest.raises(SelfCheckFailed):
-            batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
+    monkeypatch.setattr(harness, "solve", sabotaged_on_medium)
+    for jobs, failing_line in ((1, 2), (2, 2), (2, 1)):  # the ABORT_CASES
+        lines = two_entries(EASY, MEDIUM, failing_line)
+        with pytest.raises(SelfCheckFailed, match=f"line {failing_line}: solver answer"):
+            batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
+        assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@ABORT_CASES
 def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkeypatch,
-                                                                jobs):
+                                                                jobs, failing_line):
     # sound rules cannot contradict on a puzzle the oracle verified as well-posed
     real_solve = harness.solve
 
@@ -117,12 +135,15 @@ def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkey
         return outcome
 
     monkeypatch.setattr(harness, "solve", contradicts_on_medium)
-    with pytest.raises(SelfCheckFailed):
-        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
+    lines = two_entries(EASY, MEDIUM, failing_line)
+    with pytest.raises(SelfCheckFailed, match=f"line {failing_line}: contradiction"):
+        batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_batch_aborts_on_an_inconsistent_solved_grid(tmp_path, monkeypatch, jobs):
+@ABORT_CASES
+def test_batch_aborts_on_an_inconsistent_solved_grid(tmp_path, monkeypatch, jobs,
+                                                     failing_line):
     # solve()'s own soundness check fires on the completed grid of MEDIUM, a
     # puzzle the oracle verified: that is a self-check failure, not an error
     real_from_ink = minuet.grid_from_ink
@@ -133,8 +154,11 @@ def test_batch_aborts_on_an_inconsistent_solved_grid(tmp_path, monkeypatch, jobs
         return real_from_ink(solved)
 
     monkeypatch.setattr(minuet, "grid_from_ink", flags_medium)
-    with pytest.raises(SelfCheckFailed, match="line 2: solver produced an inconsistent"):
-        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=jobs)
+    lines = two_entries(EASY, MEDIUM, failing_line)
+    with pytest.raises(SelfCheckFailed,
+                       match=f"line {failing_line}: solver produced an inconsistent"):
+        batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_easy_corpus_needs_no_minuets():
@@ -147,11 +171,14 @@ def test_batch_easy_corpus_needs_no_minuets():
 def test_batch_parallel_matches_serial(tmp_path):
     corpus = small_corpus(tmp_path, [EASY, MEDIUM, HARD, TRICKY])
     serial = batch_solve(corpus, jobs=1)
-    parallel = batch_solve(corpus, jobs=2)
-    assert serial.stats.solved == parallel.stats.solved
-    assert serial.stats.failures == parallel.stats.failures
-    assert ([r.solution for r in serial.results]
-            == [r.solution for r in parallel.results])
+
+    def outcomes(result):
+        return [(r.line_no, r.status, r.solution, r.starters, r.report)
+                for r in result.results]
+
+    for jobs in (2, 3):  # one forked child, then two
+        parallel = batch_solve(corpus, jobs=jobs)
+        assert outcomes(parallel) == outcomes(serial)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -246,11 +273,11 @@ def _ink_a_conflict(report, solution):
                        + report.residual[cell + 1:])
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@ABORT_CASES
 @pytest.mark.parametrize("corrupt", [_name_another_puzzle, _drop_a_given,
                                      _lose_the_solution_digit, _ink_a_conflict])
 def test_batch_aborts_on_a_report_that_fails_its_self_check(tmp_path, monkeypatch,
-                                                            corrupt, jobs):
+                                                            corrupt, jobs, failing_line):
     real_solve = harness.solve
     solution = brute_solve(parse_grid(STALL))
 
@@ -262,7 +289,40 @@ def test_batch_aborts_on_a_report_that_fails_its_self_check(tmp_path, monkeypatc
 
     monkeypatch.setattr(harness, "solve", corrupted)
     with pytest.raises(SelfCheckFailed):
-        batch_solve(small_corpus(tmp_path, [EASY, STALL]), jobs=jobs)
+        batch_solve(small_corpus(tmp_path, two_entries(EASY, STALL, failing_line)),
+                    jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_abort_in_the_callers_share_stops_a_busy_child(tmp_path, monkeypatch):
+    test_pid = os.getpid()
+
+    def fails_here_and_stalls_in_a_child(entry):
+        if os.getpid() == test_pid:
+            raise SelfCheckFailed(f"line {entry.line_no}: planted")
+        time.sleep(60)
+
+    monkeypatch.setattr(harness, "_run_entry", fails_here_and_stalls_in_a_child)
+    t0 = time.perf_counter()
+    with pytest.raises(SelfCheckFailed, match="line 1: planted"):
+        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=2)
+    assert time.perf_counter() - t0 < 30  # the child was stopped, not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_batch_worker_that_dies_is_an_error_not_a_hang(tmp_path, monkeypatch):
+    test_pid = os.getpid()
+    real_run_entry = harness._run_entry
+
+    def dies_on_line_2_in_a_child(entry):
+        if entry.line_no == 2 and os.getpid() != test_pid:
+            os._exit(7)
+        return real_run_entry(entry)
+
+    monkeypatch.setattr(harness, "_run_entry", dies_on_line_2_in_a_child)
+    with pytest.raises(ChildProcessError, match="exited with code 7"):
+        batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_batch_matches_solve_on_minimal_puzzles(tmp_path):
@@ -294,33 +354,28 @@ def test_batch_rejects_bad_arguments_before_any_solve(tmp_path, monkeypatch, kwa
 
 
 @pytest.mark.parametrize("jobs,lines,expected", [
-    (500, [EASY, MEDIUM], [2]),
-    (2, [EASY, MEDIUM, HARD], [2]),
+    (500, [EASY, MEDIUM], [[2]]),
+    (2, [EASY, MEDIUM, HARD], [[2]]),
     (500, [EASY], []),
 ])
 def test_batch_starts_no_more_workers_than_entries(tmp_path, monkeypatch, jobs, lines,
                                                    expected):
-    sizes = []
+    # the caller is one of the workers, so it forks one child fewer; expected
+    # holds the corpus lines of each child's share
+    started = []
 
-    class FakePool:
-        """Stands in for ``multiprocessing.Pool``: records the size asked for
-        and maps in this process, so no worker is ever started."""
+    class SpiedProcess(multiprocessing.Process):
+        def __init__(self, target, args):
+            super().__init__(target=target, args=args)
+            self.share = args[0]
 
-        def __init__(self, processes):
-            sizes.append(processes)
+        def start(self):
+            started.append([entry.line_no for entry in self.share])
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(harness, "Pool", FakePool)
+    monkeypatch.setattr(harness, "Process", SpiedProcess)
     result = batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
-    assert sizes == expected
+    assert started == expected
     assert result.stats.solved == len(lines)
 
 
