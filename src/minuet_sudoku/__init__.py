@@ -9,11 +9,10 @@ from .oracle import (WellPosedness, NotWellPosed, count_solutions, brute_solve,
                      verify_well_posed)
 from .phase1 import HalfDoubleRegistry, Phase1Run, step1_fixpoint, step2_fill
 from .phase2 import FixpointRun, step3_fixpoint
-from .minuet import (Starter, HypothesisView, MinuetState, SolveConfig,
-                     SolveStats, SolveOutcome, FailureReport, NoStarters,
-                     BothContradicted, InconsistentSolution, enumerate_starters,
-                     init_hypotheses, dance_alone, dance_together, commit_retained,
-                     run_minuet, solve)
+from .minuet import (Starter, HypothesisView, MinuetState, SolveStats, SolveOutcome,
+                     FailureReport, BothContradicted, InconsistentSolution,
+                     enumerate_starters, init_hypotheses, dance_alone, dance_together,
+                     commit_retained, run_minuet, solve)
 from .harness import (CorpusEntry, CorpusLoad, EmptyCorpus, SelfCheckFailed,
                       BatchStats, BatchResult, load_corpus, batch_solve,
                       confidence_upper_bound, render_trace, render_report,

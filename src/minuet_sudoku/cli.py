@@ -16,7 +16,7 @@ from . import oracle
 from .grid import (GridError, InconsistentGivens, parse_grid, serialize_grid)
 from .harness import (EmptyCorpus, SelfCheckFailed, batch_solve, check_batch_options,
                       load_corpus, render_report, render_trace)
-from .minuet import InconsistentSolution, SolveConfig, solve
+from .minuet import InconsistentSolution, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="file with one 81-char puzzle per line")
     p.add_argument("--report", default=None, metavar="DIR",
                    help="write counterexample reports into DIR")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="at most N processes work, this one included")
     p.add_argument("--level", type=float, default=0.90,
                    help="confidence level for the zero-failure bound")
     return parser
@@ -74,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     grid = _read_puzzle(args.puzzle)
-    cfg = SolveConfig(phase1_triples=args.phase1_triples)
-    outcome = solve(grid, cfg)
+    outcome = solve(grid, phase1_triples=args.phase1_triples)
     if args.trace:
         print(render_trace(outcome.trace, args.trace))
     if outcome.status == "solved":

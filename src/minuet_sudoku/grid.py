@@ -63,11 +63,6 @@ PEERS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def flat_structure(s: Structure) -> int:
-    offset = {"row": 0, "col": 9, "box": 18}[s.kind]
-    return offset + s.index
-
-
 def cells_at(s: int, positions: int) -> tuple[int, ...]:
     """The cells of structure ``s`` at the set bits of a position mask."""
     cells = CELLS_OF[s]

@@ -46,10 +46,6 @@ from .phase2 import step3_fixpoint
 from .trace import TraceEvent
 
 
-class NoStarters(Exception):
-    """No bivalue cell and no half double exists at a Step-3 fixpoint."""
-
-
 class BothContradicted(Exception):
     """Both hypotheses of an exhaustive binary choice failed: no solution exists."""
 
@@ -105,11 +101,6 @@ class MinuetState:
     starter: Starter
     circle: HypothesisView
     square: HypothesisView
-
-
-@dataclass(slots=True)
-class SolveConfig:
-    phase1_triples: bool = False
 
 
 @dataclass(slots=True)
@@ -178,8 +169,8 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
     structures (footnote-8 heuristic): the bivalue board ANDed with the
     cover, on 81-bit boards.  The cover is a cell's three structures
     (``CELL_COVER``), or the ones a half double's two cells share.  Ties
-    break by ascending cell index, then ascending digit.  Raises NoStarters
-    when none exist.
+    break by ascending cell index, then ascending digit.  The list is empty
+    when there is no bivalue cell and no half double.
     """
     masks = grid.masks
     solved = grid.solved
@@ -220,8 +211,6 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
             score = (board & cover).bit_count()
             entries.append(((-score, a, d, z, 1),
                             ("half_double", (a, z), (d,), STRUCTURES[s], score)))
-    if not entries:
-        raise NoStarters("no bivalue cell and no half double at this fixpoint")
     entries.sort()
     return [Starter(*fields) for _, fields in entries]
 
@@ -375,14 +364,20 @@ def _take_shadow(view: HypothesisView, base: Grid, verb: str, events: list) -> N
 
 def run_minuet(base: Grid, starter: Starter, *,
                trace: list | None = None) -> tuple[str, MinuetState]:
-    """Dance one starter to completion, contradiction-commit, or a stall.
+    """Dance one starter; returns how the dance ended, and the state.
 
-    Returns ("solved" | "progress" | "stuck", state).  "stuck" means this
-    starter cannot help right now; all markings (the views) are simply
-    discarded.  ``commit_retained`` raises BothContradicted when neither view
-    survived.
+    The ending is one of:
 
-    Lemma: the outcome is "stuck" exactly when the base is unchanged.  A
+    - "commit": one view was contradicted, and the survivor was committed
+      (``commit_retained``, which raises BothContradicted when neither view
+      survived);
+    - "adopt": both views are alive and one shadow is complete, and that
+      completion was adopted as the solution;
+    - "joint": ``dance_together`` changed the base;
+    - "stuck": it did not; this starter cannot help right now, and all
+      markings (the views) are simply discarded.
+
+    Lemma: the ending is "stuck" exactly when the base is unchanged.  A
     starter's choices are candidates of unsolved base cells.  A commit inks
     the survivor's choice there, an adoption inks every unsolved cell, and
     ``dance_together`` returns True only after it inked or erased something.
@@ -400,25 +395,25 @@ def run_minuet(base: Grid, starter: Starter, *,
     state = init_hypotheses(base, starter, events)
     if not (state.circle.alive and state.square.alive):
         commit_retained(state, base, events)
-        return "progress", state
+        return "commit", state
     for view in (state.circle, state.square):
         if view.shadow.is_complete():
             _take_shadow(view, base, "adopt", events)
-            return "solved", state
-    if not dance_together(state, base, events):
-        return "stuck", state
-    return ("solved" if base.is_complete() else "progress"), state
+            return "adopt", state
+    return ("joint" if dance_together(state, base, events) else "stuck"), state
 
 
-def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
+def solve(puzzle: str | Grid, *, phase1_triples: bool = False,
           verdict: oracle.WellPosedness | None = None) -> SolveOutcome:
     """Run the full method: Phase I, Step-3 fixpoint, then minuets until solved.
 
-    Returns Solved (all 81 cells inked and consistent), ConjectureFailure
-    (every starter stuck on an unchanged base of a puzzle the oracle verified
-    as well-posed: the scientific payload), or IllPosedDetected (a
-    contradiction or an exhausted binary choice, which sound rules only reach
-    on inputs without a unique solution, or a stall on such an input).
+    The outcome's ``status`` is "solved" (all 81 cells inked and
+    consistent), "conjecture_failure" (no starter, or every starter stuck on
+    an unchanged base, of a puzzle the oracle verified as well-posed: the
+    scientific payload, with a ``report``), or "ill_posed" (a contradiction
+    or an exhausted binary choice, which sound rules only reach on inputs
+    without a unique solution, or a stall on such an input; ``reason`` says
+    which).  ``phase1_triples`` also hunts hidden triples in Phase I.
 
     Lemma: on a well-posed puzzle the outcome (status, ink and masks) is
     the greatest common fixpoint of Step 3 and the dilemma rule over bivalue
@@ -436,8 +431,8 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     Adoption is the one step that needs a unique solution.  An adoption
     (``run_minuet``) takes one view's completion without looking at the
     other view, which is sound only when the puzzle has one solution.  So a
-    solve that ends by adoption is Solved only when the oracle verifies the
-    puzzle as well-posed, and IllPosedDetected otherwise.
+    solve that ends by adoption is "solved" only when the oracle verifies the
+    puzzle as well-posed, and "ill_posed" otherwise.
 
     ``verdict`` is the oracle's verdict on this puzzle when the caller
     already holds one; it is consulted only when the method stalls or ends
@@ -448,7 +443,6 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     before any work.  The completed grid passes through ``grid_from_ink``
     again, and a conflict there raises InconsistentSolution.
     """
-    cfg = config or SolveConfig()
     grid = parse_grid(puzzle) if isinstance(puzzle, str) else grid_from_ink(puzzle.solved)
     start = grid.copy()
     trace: list[TraceEvent] = []
@@ -478,7 +472,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
 
     try:
         registry = HalfDoubleRegistry()
-        p1 = step1_fixpoint(grid, registry, cfg.phase1_triples, trace=trace)
+        p1 = step1_fixpoint(grid, registry, phase1_triples, trace=trace)
         stats.phase1_passes = p1.passes
         stats.phase1_finds = sum(p1.finds_per_pass)
         step2_fill(grid, registry, trace=trace)
@@ -486,29 +480,23 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
     except ContradictionFound as e:
         return ill_posed(str(e))
 
-    adopted = False
+    ending = None
     while not grid.is_complete():
-        try:
-            starters = enumerate_starters(grid)
-        except NoStarters:
+        starters = enumerate_starters(grid)
+        if not starters:
             return failure("no_starters")
         for starter in starters:
             starters_tried.append(starter.describe())
             stats.starters_danced += 1
             try:
-                outcome, state = run_minuet(grid, starter, trace=trace)
+                ending, _ = run_minuet(grid, starter, trace=trace)
             except BothContradicted:
                 return ill_posed("both hypotheses contradicted: no solution exists")
             except ContradictionFound as e:
                 return ill_posed(str(e))
             stats.minuet_rounds += 1
-            if outcome == "progress" and not (state.circle.alive and state.square.alive):
-                stats.commits += 1
-            # a "solved" minuet with a complete view adopted it; dance_together
-            # runs only when neither view is complete
-            adopted = outcome == "solved" and (state.circle.shadow.is_complete()
-                                               or state.square.shadow.is_complete())
-            if outcome != "stuck":
+            stats.commits += ending == "commit"
+            if ending != "stuck":
                 break
         else:
             return failure("all_starters_stuck")
@@ -517,7 +505,7 @@ def solve(puzzle: str | Grid, config: SolveConfig | None = None, *,
         grid_from_ink(grid.solved)
     except InconsistentGivens as e:
         raise InconsistentSolution(f"solver produced an inconsistent grid: {e}") from e
-    if adopted:
+    if ending == "adopt":  # an adoption completes the grid, so it ends the loop
         wp = oracle_verdict()
         if not wp.is_well_posed:
             return ill_posed(f"adopted a completion; oracle says {wp.status}")

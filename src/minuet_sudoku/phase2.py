@@ -21,12 +21,11 @@ for.  Quadruples would need 8+ unsolved cells and are rare enough that
 hunting them never pays, so they are deliberately not implemented.
 
 Every find is logged as one ``TraceEvent`` (step "3.1", "3.2" or "3.3"),
-and that event is the only record of it: ``detect_singles`` returns the
-events it appended, and ``step3_fixpoint`` counts a sweep's finds as the
-growth of the trace.  It tracks dirty structures (a structure is rescanned
-only after one of its cells changed), which skips provably find-free scans
-without altering finds, events, or the final grid.  Each scan returns the
-structures its finds changed, as a 27-bit set.
+and that event is the only record of it: ``step3_fixpoint`` counts a
+sweep's finds as the growth of the trace.  It tracks dirty structures (a
+structure is rescanned only after one of its cells changed), which skips
+provably find-free scans without altering finds, events, or the final
+grid.  Each scan returns the structures its finds changed, as a 27-bit set.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF, STRUCTURES,
-                   ContradictionFound, Grid, Structure, block_group, cells_at,
-                   flat_structure, mask_of, place_ink)
+                   ContradictionFound, Grid, block_group, cells_at, mask_of,
+                   place_ink)
 from .trace import TraceEvent
 
 GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
@@ -114,13 +113,13 @@ def _tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
                                        (small, twice & ~four))
 
 
-def _scan(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
-          view: str | None, use_guards: bool) -> int:
+def _scan(grid: Grid, s: int, events: list, view: str | None) -> int:
     """Ink singles until none is left: an empty cell raises first, then the
     lowest naked single is inked, else the lowest digit that is starved
-    (raises) or a hidden single (inked).  Then run ``_scan_size`` for each
-    size of ``sizes`` (ascending) that the guard lets through.  Returns the
-    structures the inks and cleanups changed (27-bit)."""
+    (raises) or a hidden single (inked).  Then run ``_scan_size`` for
+    doubles and then triples, each only if the structure keeps enough
+    unsolved cells (module docstring).  Returns the structures the inks and
+    cleanups changed (27-bit)."""
     cells = CELLS_OF[s]
     masks = grid.masks
     hit = 0
@@ -139,9 +138,9 @@ def _scan(grid: Grid, s: int, sizes: tuple[int, ...], events: list,
             raise ContradictionFound("starved", structure=STRUCTURES[s], digit=d)
         c = next(c for c in cells if masks[c] & b)
         hit |= _ink(grid, c, d, "3.1", "hidden single", s, events, view)
-    for k in sizes:
-        if use_guards and 9 - inked.bit_count() < 2 * k:
-            break  # sizes ascend, so every later size is guarded too
+    for k in (2, 3):
+        if 9 - inked.bit_count() < 2 * k:
+            break  # a structure too small for doubles is too small for triples
         found, by_size = _scan_size(grid, s, k, by_size, events, view)
         hit |= found
     return hit
@@ -194,18 +193,8 @@ def _scan_size(grid: Grid, s: int, k: int, by_size: tuple, events: list,
         by_size = _tally(grid, CELLS_OF[s])[4]
 
 
-def detect_singles(grid: Grid, s: Structure, *, trace: list | None = None,
-                   view: str | None = None) -> list[TraceEvent]:
-    """Ink every naked and hidden single currently visible in the structure.
-    Returns the events appended, one per find."""
-    events = trace if trace is not None else []
-    start = len(events)
-    _scan(grid, flat_structure(s), (), events, view, True)
-    return events[start:]
-
-
-def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = None,
-                   view: str | None = None, touched: set[int] | None = None) -> FixpointRun:
+def step3_fixpoint(grid: Grid, *, trace: list | None = None, view: str | None = None,
+                   touched: set[int] | None = None) -> FixpointRun:
     """Sweep structures (singles, then doubles, then triples each) until a
     sweep yields zero finds.  Total candidate count strictly decreases on any
     sweep with a find, so this terminates.  Raises ContradictionFound on
@@ -234,7 +223,7 @@ def step3_fixpoint(grid: Grid, *, use_guards: bool = True, trace: list | None = 
         while dirty:
             s = (dirty & -dirty).bit_length() - 1
             dirty &= dirty - 1
-            hit = _scan(grid, s, (2, 3), events, view, use_guards)
+            hit = _scan(grid, s, events, view)
             behind = (2 << s) - 1
             dirty |= hit & ~behind
             later |= hit & behind

@@ -10,20 +10,21 @@ import math
 import random
 import statistics
 import time
+from functools import partial
 
 import pytest
 
-from minuet_sudoku import (HalfDoubleRegistry, NoStarters,
-                           commit_retained, confidence_upper_bound,
+from minuet_sudoku import (HalfDoubleRegistry, commit_retained, confidence_upper_bound,
                            dance_together, enumerate_starters,
                            init_hypotheses, parse_grid, replay_trace,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, verify_well_posed)
-from minuet_sudoku import minuet, oracle
+from minuet_sudoku import minuet, oracle, phase2
 from minuet_sudoku.grid import BIT, Grid
 from minuet_sudoku.harness import batch_solve, load_corpus
 
 from conftest import CORPORA
+from test_phase2 import table_scan
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +84,10 @@ def _one_dance(g: Grid) -> None:
     """Apply one Step-4 sequence: both hypotheses, tricks (a)/(b), and a
     contradiction commit if one arises.  Whole-solution adoption is not a
     rule application and is deliberately not part of this runner."""
-    try:
-        starter = enumerate_starters(g)[0]
-    except NoStarters:
+    starters = enumerate_starters(g)
+    if not starters:
         return
-    state = init_hypotheses(g, starter)
+    state = init_hypotheses(g, starters[0])
     if not state.circle.alive and not state.square.alive:
         raise AssertionError("both hypotheses contradicted on a solvable position")
     if state.circle.alive != state.square.alive:
@@ -145,12 +145,16 @@ def test_criterion_5_fixpoint_idempotence(full_corpus):
           f"{len(full_corpus)} puzzles")
 
 
-def test_criterion_6_guard_equivalence(full_corpus):
+def test_criterion_6_guard_equivalence(full_corpus, monkeypatch):
+    """Step 3 as it runs, against Step 3 with the position-table reference
+    scan run with no guards (groups scanned in structures of every size)."""
     for puzzle in full_corpus:
         guarded = parse_grid(puzzle)
         unguarded = parse_grid(puzzle)
-        step3_fixpoint(guarded, use_guards=True)
-        step3_fixpoint(unguarded, use_guards=False)
+        step3_fixpoint(guarded)
+        with monkeypatch.context() as m:
+            m.setattr(phase2, "_scan", partial(table_scan, use_guards=False))
+            step3_fixpoint(unguarded)
         assert guarded == unguarded, f"guards changed the fixpoint on {puzzle}"
     print(f"\nACCEPTANCE 6 PASS - 4-cell/6-cell guards are pure optimizations "
           f"on {len(full_corpus)} puzzles")

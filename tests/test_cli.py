@@ -38,9 +38,9 @@ def test_solve_command_phase1_triples_reaches_solve(monkeypatch, flags, expected
     configs = []
     real_solve = cli.solve
     monkeypatch.setattr(cli, "solve",
-                        lambda grid, cfg=None: configs.append(cfg) or real_solve(grid, cfg))
+                        lambda grid, **kw: configs.append(kw) or real_solve(grid, **kw))
     assert main(["solve", EASY, *flags]) == 0
-    assert [c.phase1_triples for c in configs] == [expected]
+    assert [kw["phase1_triples"] for kw in configs] == [expected]
 
 
 def test_solve_command_from_file(tmp_path, capsys):
@@ -130,7 +130,7 @@ def test_batch_command_checks_report_dir_before_solving(tmp_path, capsys, monkey
 
 
 def test_batch_command_reports_errors_and_exits_one(tmp_path, capsys, monkeypatch):
-    def broken(grid, cfg=None, **kwargs):
+    def broken(grid, **kwargs):
         raise ValueError("no luck")
 
     monkeypatch.setattr(harness, "solve", broken)
@@ -220,7 +220,7 @@ def test_batch_bad_jobs_or_level_exit_one_before_solving(tmp_path, capsys, monke
     """The bad option is the only error printed: the corpus, whose first line
     is malformed, is not even read."""
     calls = []
-    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None, **kw: calls.append(grid))
+    monkeypatch.setattr(harness, "solve", lambda grid, **kw: calls.append(grid))
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(f"{EASY[:80]}\n{EASY}\n{MEDIUM}\n")
     assert main(["batch", str(corpus), flag, value]) == 1

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from minuet_sudoku import SolveConfig, solve
+from minuet_sudoku import solve
 from minuet_sudoku.generate import STALL, random_isomorph
 
 GOLDEN = {
@@ -50,9 +50,8 @@ def _update(h, puzzle, outcome) -> None:
 
 def corpus_digest(puzzles, triples: bool) -> str:
     h = hashlib.sha256()
-    cfg = SolveConfig(phase1_triples=triples)
     for puzzle in puzzles:
-        _update(h, puzzle, solve(puzzle, cfg))
+        _update(h, puzzle, solve(puzzle, phase1_triples=triples))
     return h.hexdigest()
 
 
@@ -63,9 +62,8 @@ def stall_puzzles() -> list[str]:
 
 def stall_digest(triples: bool) -> str:
     h = hashlib.sha256()
-    cfg = SolveConfig(phase1_triples=triples)
     for puzzle in stall_puzzles():
-        outcome = solve(puzzle, cfg)
+        outcome = solve(puzzle, phase1_triples=triples)
         assert outcome.status == "conjecture_failure", puzzle
         _update(h, puzzle, outcome)
         h.update(f"stats {dataclasses.astuple(outcome.stats)}\n".encode())

@@ -18,10 +18,10 @@ from minuet_sudoku import harness, minuet
 from minuet_sudoku.generate import STALL, dig_minimal
 from minuet_sudoku.grid import ALL_DIGITS, BIT, PEERS, Grid, InconsistentGivens
 from minuet_sudoku.harness import BatchStats
-from minuet_sudoku.phase2 import detect_singles
 
 from conftest import CORPORA
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM, MEDIUM_SOLUTION, TRICKY
+from test_phase2 import scan_structure
 
 
 # --- corpus loading ---------------------------------------------------------
@@ -106,8 +106,8 @@ def test_batch_counts_conjecture_failures(tmp_path):
 def test_batch_aborts_on_oracle_mismatch(tmp_path, monkeypatch):
     real_solve = harness.solve
 
-    def sabotaged_on_medium(grid, cfg=None, **kwargs):
-        outcome = real_solve(grid, cfg, **kwargs)
+    def sabotaged_on_medium(grid, **kwargs):
+        outcome = real_solve(grid, **kwargs)
         if serialize_grid(grid) == MEDIUM:
             a, b = outcome.grid.solved[0], outcome.grid.solved[1]
             outcome.grid.solved[0], outcome.grid.solved[1] = b, a
@@ -127,8 +127,8 @@ def test_batch_aborts_on_a_contradiction_on_a_well_posed_puzzle(tmp_path, monkey
     # sound rules cannot contradict on a puzzle the oracle verified as well-posed
     real_solve = harness.solve
 
-    def contradicts_on_medium(grid, cfg=None, **kwargs):
-        outcome = real_solve(grid, cfg, **kwargs)
+    def contradicts_on_medium(grid, **kwargs):
+        outcome = real_solve(grid, **kwargs)
         if serialize_grid(grid) == MEDIUM:
             return dataclasses.replace(outcome, status="ill_posed",
                                        reason="empty_cell: cell 0")
@@ -185,10 +185,10 @@ def test_batch_parallel_matches_serial(tmp_path):
 def test_batch_keeps_going_past_a_puzzle_that_raises(tmp_path, monkeypatch, jobs):
     real_solve = harness.solve
 
-    def broken_on_medium(grid, cfg=None, **kwargs):
+    def broken_on_medium(grid, **kwargs):
         if serialize_grid(grid) == MEDIUM:
             raise KeyError("boom")
-        return real_solve(grid, cfg, **kwargs)
+        return real_solve(grid, **kwargs)
 
     monkeypatch.setattr(harness, "solve", broken_on_medium)
     result = batch_solve(small_corpus(tmp_path, [EASY, MEDIUM, HARD, TRICKY]), jobs=jobs)
@@ -281,8 +281,8 @@ def test_batch_aborts_on_a_report_that_fails_its_self_check(tmp_path, monkeypatc
     real_solve = harness.solve
     solution = brute_solve(parse_grid(STALL))
 
-    def corrupted(grid, cfg=None, **kwargs):
-        outcome = real_solve(grid, cfg, **kwargs)
+    def corrupted(grid, **kwargs):
+        outcome = real_solve(grid, **kwargs)
         if outcome.status == "conjecture_failure":
             corrupt(outcome.report, solution)
         return outcome
@@ -347,7 +347,7 @@ def test_batch_matches_solve_on_minimal_puzzles(tmp_path):
                                     {"level": 0.0}, {"level": 1.0}])
 def test_batch_rejects_bad_arguments_before_any_solve(tmp_path, monkeypatch, kwargs):
     calls = []
-    monkeypatch.setattr(harness, "solve", lambda grid, cfg=None, **kw: calls.append(grid))
+    monkeypatch.setattr(harness, "solve", lambda grid, **kw: calls.append(grid))
     with pytest.raises(ValueError):
         batch_solve(small_corpus(tmp_path, [EASY, MEDIUM]), **kwargs)
     assert calls == []
@@ -445,7 +445,7 @@ def test_render_trace_names_the_find():
     g = Grid()
     g.masks[20] = 1 << (6 - 1)
     events = []
-    detect_singles(g, Structure("row", 2), trace=events)
+    scan_structure(g, Structure("row", 2), trace=events)
     full = render_trace(events, "full")
     assert "naked single" in full
     assert "r3c3" in full and "6" in full

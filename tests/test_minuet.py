@@ -3,7 +3,7 @@ import random
 import pytest
 
 from minuet_sudoku import (BothContradicted,
-                           HalfDoubleRegistry, NoStarters, Starter,
+                           HalfDoubleRegistry, Starter,
                            brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
                            parse_grid, place_ink, replay_trace, run_minuet,
@@ -99,11 +99,8 @@ def reference_starters(grid: Grid) -> list[tuple]:
 
 
 def enumerated(grid: Grid) -> list[tuple]:
-    try:
-        starters = enumerate_starters(grid)
-    except NoStarters:
-        return []
-    return [(st.kind, st.cells, st.digits, st.structure, st.score) for st in starters]
+    return [(st.kind, st.cells, st.digits, st.structure, st.score)
+            for st in enumerate_starters(grid)]
 
 
 def test_enumerate_starters_matches_reference(hard_corpus):
@@ -133,8 +130,7 @@ def test_enumerate_starters_matches_reference(hard_corpus):
 
 
 def test_no_starters_on_blank_grid():
-    with pytest.raises(NoStarters):
-        enumerate_starters(Grid())
+    assert enumerate_starters(Grid()) == []
 
 
 def test_starters_exist_across_hard_corpus(hard_corpus):
@@ -298,7 +294,7 @@ def test_trick_b_lemma_holds_on_dug_puzzles(monkeypatch):
 
 
 def test_commits_count_only_minuets_that_commit(monkeypatch):
-    commits, outcomes = [], []
+    commits, endings = [], []
     real_commit, real_run = minuet.commit_retained, minuet.run_minuet
 
     def commit(*args, **kwargs):
@@ -307,7 +303,7 @@ def test_commits_count_only_minuets_that_commit(monkeypatch):
 
     def run(*args, **kwargs):
         result = real_run(*args, **kwargs)
-        outcomes.append(result[0])
+        endings.append(result[0])
         return result
 
     monkeypatch.setattr(minuet, "commit_retained", commit)
@@ -315,7 +311,7 @@ def test_commits_count_only_minuets_that_commit(monkeypatch):
     outcome = solve(TRICKY)
     assert outcome.status == "solved"
     # one of TRICKY's minuets progresses by trick (a) alone, with no commit
-    assert outcomes.count("progress") == 3
+    assert sorted(e for e in endings if e != "stuck") == ["commit", "commit", "joint"]
     assert outcome.stats.commits == len(commits) == 2
 
 
@@ -397,8 +393,8 @@ def test_commit_inks_survivor_solves_and_narrows():
 def test_run_minuet_progress_records_new_ink():
     g = at_fixpoint(HARD)
     before = g.inked_count()
-    outcome, _ = run_minuet(g, enumerate_starters(g)[0])
-    assert outcome in ("progress", "solved")
+    ending, _ = run_minuet(g, enumerate_starters(g)[0])
+    assert ending in ("commit", "adopt", "joint")
     assert g.inked_count() > before
 
 
@@ -406,36 +402,55 @@ def test_run_minuet_stuck_leaves_base_bit_identical():
     g = at_fixpoint(STALL)
     snap = g.copy()
     for starter in enumerate_starters(g):
-        outcome, _ = run_minuet(g, starter)
-        assert outcome == "stuck"
+        ending, _ = run_minuet(g, starter)
+        assert ending == "stuck"
         assert g == snap
 
 
 def test_each_minuet_dances_together_at_most_once(hard_corpus, monkeypatch):
     """One dance together is the whole iteration (run_minuet's lemma), so
-    minuet_rounds counts one per starter danced; and a minuet is "stuck"
-    exactly when it leaves the base unchanged (the lemma solve() relies on)."""
-    dances = []  # dance_together calls per run_minuet call
+    minuet_rounds counts one per starter danced; a minuet is "stuck" exactly
+    when it leaves the base unchanged (the lemma solve() relies on); and
+    each other ending names what happened: "commit" exactly when one view is
+    contradicted, "adopt" exactly when both views are alive and one shadow
+    is complete, "joint" exactly when dance_together changed the base.
+    solve() counts its commits, and logs adoptions, from the endings."""
+    dances = []  # the values dance_together returned, per run_minuet call
+    endings = []  # run_minuet's endings within the current solve
     real_dance_together, real_run = minuet.dance_together, minuet.run_minuet
 
     def dance_together(*args, **kwargs):
-        dances[-1] += 1
-        return real_dance_together(*args, **kwargs)
+        changed = real_dance_together(*args, **kwargs)
+        dances[-1].append(changed)
+        return changed
 
     def run(base, *args, **kwargs):
-        dances.append(0)
+        dances.append([])
         before = base.copy()
-        outcome, state = real_run(base, *args, **kwargs)
-        assert (outcome != "stuck") == (base != before)
-        return outcome, state
+        ending, state = real_run(base, *args, **kwargs)
+        circle, square = state.circle, state.square
+        assert (ending != "stuck") == (base != before)
+        assert (ending == "commit") == (circle.alive != square.alive)
+        assert (ending == "adopt") == (circle.alive and square.alive and (
+            circle.shadow.is_complete() or square.shadow.is_complete()))
+        assert (ending == "joint") == (dances[-1] == [True])
+        endings.append(ending)
+        return ending, state
 
     monkeypatch.setattr(minuet, "dance_together", dance_together)
     monkeypatch.setattr(minuet, "run_minuet", run)
+    seen = set()
     for puzzle in hard_corpus + stall_puzzles():
+        endings.clear()
         outcome = solve(puzzle)
         assert outcome.status in ("solved", "conjecture_failure"), puzzle
         assert outcome.stats.minuet_rounds == outcome.stats.starters_danced, puzzle
-    assert max(dances) == 1
+        assert outcome.stats.commits == endings.count("commit"), puzzle
+        adopted = any(ev.rule.startswith("adopt ") for ev in outcome.trace)
+        assert adopted == ("adopt" in endings), puzzle
+        seen.update(endings)
+    assert max(map(len, dances)) == 1
+    assert seen == {"commit", "adopt", "joint", "stuck"}
 
 
 # --- solve ------------------------------------------------------------------

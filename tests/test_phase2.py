@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import chain, combinations
 
 import pytest
@@ -7,11 +8,20 @@ from minuet_sudoku import (ContradictionFound, Structure, brute_solve, enumerate
                            parse_grid, phase2, place_ink, serialize_grid, step3_fixpoint)
 from minuet_sudoku.generate import STALL, random_isomorph, random_solution
 from minuet_sudoku.grid import (ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, STRUCT_SET_OF,
-                                STRUCTURES, Grid, cells_at, flat_structure, mask_of)
-from minuet_sudoku.phase2 import detect_singles
+                                STRUCTURES, Grid, cells_at, mask_of)
 from minuet_sudoku.trace import TraceEvent
 
 from puzzles import EASY, HARD, MEDIUM, TRICKY
+
+
+def scan_structure(grid: Grid, s: Structure, trace: list | None = None) -> list[TraceEvent]:
+    """One visit of Step 3's structure scan (``phase2._scan``): singles,
+    then the groups the guards let through.  Returns the events appended,
+    one per find."""
+    events = trace if trace is not None else []
+    start = len(events)
+    phase2._scan(grid, STRUCTURES.index(s), events, None)
+    return events[start:]
 
 
 def scan_groups(grid: Grid, s: Structure, k: int, trace: list | None = None,
@@ -21,7 +31,7 @@ def scan_groups(grid: Grid, s: Structure, k: int, trace: list | None = None,
     appended, one per find."""
     events = trace if trace is not None else []
     start = len(events)
-    table_scan_groups(grid, flat_structure(s), (k,), events, None, use_guards)
+    table_scan_groups(grid, STRUCTURES.index(s), (k,), events, None, use_guards)
     return events[start:]
 
 
@@ -34,7 +44,7 @@ def masked_grid(cell_masks: dict[int, set[int]]) -> Grid:
 
 def test_naked_single_is_inked():
     g = masked_grid({5: {4}})
-    finds = detect_singles(g, Structure("row", 0))
+    finds = scan_structure(g, Structure("row", 0))
     assert [(f.rule, f.cells, f.digits) for f in finds] == [("naked single", (5,), (4,))]
     assert g.solved[5] == 4
 
@@ -44,7 +54,7 @@ def test_hidden_single_is_inked():
     for c in CELLS_OF[2]:
         if c != 20:
             g.masks[c] &= ~BIT[6]
-    finds = detect_singles(g, Structure("row", 2))
+    finds = scan_structure(g, Structure("row", 2))
     assert ("hidden single", (20,), (6,)) in [(f.rule, f.cells, f.digits) for f in finds]
     assert g.solved[20] == 6
 
@@ -52,7 +62,7 @@ def test_hidden_single_is_inked():
 def test_no_singles_leaves_grid_unchanged():
     g = Grid()
     snap = g.copy()
-    assert detect_singles(g, Structure("col", 3)) == []
+    assert scan_structure(g, Structure("col", 3)) == []
     assert g == snap
 
 
@@ -60,7 +70,7 @@ def test_detect_singles_raises_on_empty_cell():
     g = Grid()
     g.masks[4] = 0
     with pytest.raises(ContradictionFound):
-        detect_singles(g, Structure("row", 0))
+        scan_structure(g, Structure("row", 0))
 
 
 def test_detect_singles_raises_on_starved_structure():
@@ -68,7 +78,7 @@ def test_detect_singles_raises_on_starved_structure():
     for c in CELLS_OF[9]:  # column 0
         g.masks[c] &= ~BIT[8]
     with pytest.raises(ContradictionFound):
-        detect_singles(g, Structure("col", 0))
+        scan_structure(g, Structure("col", 0))
 
 
 def test_rule_22_scenario_is_caught_as_hidden_single():
@@ -79,7 +89,7 @@ def test_rule_22_scenario_is_caught_as_hidden_single():
         if c not in (0, 4):
             g.masks[c] &= ~BIT[5]
     g.masks[0] &= ~BIT[5]
-    finds = detect_singles(g, Structure("row", 0))
+    finds = scan_structure(g, Structure("row", 0))
     assert ("hidden single", (4,), (5,)) in [(f.rule, f.cells, f.digits) for f in finds]
 
 
@@ -184,7 +194,7 @@ def full_sweeps(grid: Grid, events: list) -> list[int]:
     while True:
         start = len(events)
         for s in range(27):
-            table_scan(grid, s, (2, 3), events, None, True)
+            table_scan(grid, s, events, None)
         n = len(events) - start
         per_sweep.append(n)
         if not n:
@@ -268,13 +278,14 @@ def digit_positions(masks: list[int], s: int) -> list[int]:
     return pos
 
 
-def table_scan(grid: Grid, s: int, sizes: tuple[int, ...], events: list, view,
-               use_guards: bool) -> int:
+def table_scan(grid: Grid, s: int, events: list, view, use_guards: bool = True) -> int:
     """Step 3's structure scan, a drop-in for ``phase2._scan`` that shares
-    none of its tallies: the singles, then each group size, each read from
-    position tables.  Returns the structures holding a cell it changed."""
+    none of its tallies: the singles, then doubles and triples, each read
+    from position tables.  With ``use_guards=False`` it scans groups in
+    structures of every size.  Returns the structures holding a cell it
+    changed."""
     return (table_scan_singles(grid, s, events, view)
-            | table_scan_groups(grid, s, sizes, events, view, use_guards))
+            | table_scan_groups(grid, s, (2, 3), events, view, use_guards))
 
 
 def table_scan_singles(grid: Grid, s: int, events: list, view) -> int:
@@ -486,11 +497,12 @@ def test_step3_fixpoint_idempotent(puzzle):
 
 
 @pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD, TRICKY])
-def test_guard_equivalence_on_fixtures(puzzle):
+def test_guard_equivalence_on_fixtures(puzzle, monkeypatch):
     a = parse_grid(puzzle)
     b = parse_grid(puzzle)
-    step3_fixpoint(a, use_guards=True)
-    step3_fixpoint(b, use_guards=False)
+    step3_fixpoint(a)
+    monkeypatch.setattr(phase2, "_scan", partial(table_scan, use_guards=False))
+    step3_fixpoint(b)
     assert a == b
 
 
