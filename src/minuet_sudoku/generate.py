@@ -21,26 +21,30 @@ STALL = ("800000000003600000070090200050007000000045700"
          "000100030001000068008500010090000400")
 
 
+def _fill(g: Grid, i: int, rng: random.Random) -> bool:
+    """Fill cells ``i``..80 of ``g`` in order, each with a shuffled
+    candidate, backtracking out of dead ends; returns whether it completed.
+    A module-level function, not a closure, so a fill leaves no
+    function-cell reference cycle behind."""
+    if i == 81:
+        return True
+    opts = list(g.candidates(i))
+    rng.shuffle(opts)
+    for d in opts:
+        snap = (g.solved.copy(), g.masks.copy())
+        place_ink(g, i, d)
+        if all(g.masks[j] or g.solved[j] for j in range(81)):
+            if _fill(g, i + 1, rng):
+                return True
+        g.solved, g.masks = snap
+    return False
+
+
 def random_solution(rng: random.Random) -> str:
     """A complete grid: cells filled in order, each with a shuffled
-    candidate, backtracking out of dead ends."""
+    candidate, backtracking out of dead ends (``_fill``)."""
     g = Grid()
-
-    def fill(i: int) -> bool:
-        if i == 81:
-            return True
-        opts = list(g.candidates(i))
-        rng.shuffle(opts)
-        for d in opts:
-            snap = (g.solved.copy(), g.masks.copy())
-            place_ink(g, i, d)
-            if all(g.masks[j] or g.solved[j] for j in range(81)):
-                if fill(i + 1):
-                    return True
-            g.solved, g.masks = snap
-        return False
-
-    if not fill(0):
+    if not _fill(g, 0, rng):
         raise RuntimeError("random fill failed")
     return serialize_grid(g)
 

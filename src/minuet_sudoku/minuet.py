@@ -84,7 +84,9 @@ class Starter(NamedTuple):
 class HypothesisView:
     label: str  # "circle" | "square"
     shadow: Grid
-    reason: ContradictionFound | None = None  # set when the view is contradicted
+    # set when the view is contradicted; kept without its traceback, whose
+    # frames would hold the whole solve in a reference cycle with this view
+    reason: ContradictionFound | None = None
 
     @property
     def alive(self) -> bool:
@@ -247,11 +249,15 @@ def dance_alone(view: HypothesisView, touched: set[int],
     docstring) and the base's changes never reach it.
 
     A contradiction is captured as the view's ``reason``, never raised: it is
-    a useful result (the other hypothesis must be true)."""
+    a useful result (the other hypothesis must be true).  The reason is kept
+    without its traceback.  The traceback's frames reach back to this view
+    and up to ``solve()``, so a caught contradiction that kept them would
+    hold the whole solve (trace, starters, shadows) in a reference cycle
+    until the cyclic garbage collector ran."""
     try:
         step3_fixpoint(view.shadow, trace=trace, view=view.label, touched=touched)
     except ContradictionFound as e:
-        view.reason = e
+        view.reason = e.with_traceback(None)
     return view
 
 
@@ -433,6 +439,13 @@ def solve(puzzle: str | Grid, *, phase1_triples: bool = False,
     other view, which is sound only when the puzzle has one solution.  So a
     solve that ends by adoption is "solved" only when the oracle verifies the
     puzzle as well-posed, and "ill_posed" otherwise.
+
+    Every other step keeps every solution.  Phase I and Step 3 deduce from
+    the rules; a commit drops a choice that holds in no solution; trick (a)
+    keeps the union of the two views' closures, and each solution lies in
+    one of them.  So a grid completed without an adoption is the puzzle's
+    only solution, that solve is a uniqueness proof, and the oracle runs
+    only after an adoption or a stall.
 
     ``verdict`` is the oracle's verdict on this puzzle when the caller
     already holds one; it is consulted only when the method stalls or ends

@@ -149,39 +149,46 @@ def _root(values: list[int]) -> list[int] | None:
     return None
 
 
+def _dfs(cand: list[int], budget: int, first: list[list[int]]) -> int:
+    """Count the completions of a node's masks, up to ``budget``, appending
+    the first one found to ``first``.
+
+    The node branches on ``_branch_cell``'s cell, digits ascending, each
+    branch on its own copy of the masks.  A node's masks are at the singles
+    fixpoint, so a branch differs from them only in the branched cell and
+    starts with that cell's three units dirty.
+    """
+    pick = _branch_cell(cand)
+    if pick < 0:
+        if not first:
+            first.append([DIGITS_OF[m][0] for m in cand])
+        return 1
+    count = 0
+    for d in DIGITS_OF[cand[pick]]:
+        child = cand.copy()
+        child[pick] = BIT[d]
+        if _propagate(child, [pick], STRUCT_SET_OF[pick]):
+            count += _dfs(child, budget - count, first)
+            if count >= budget:
+                break
+    return count
+
+
 def _search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
     """Count completions of the inked cells up to ``cap``; return (count, first solution).
 
     The state is 81 candidate masks built from the inked cells alone, at the
     root by ``_root``.  Each node propagates singles, then branches on
     ``_branch_cell``'s cell (the best-linked bivalue cell, else one with the
-    fewest candidates), digits ascending, each branch on its own copy of the
-    masks.  A node's masks are at the singles fixpoint, so a branch differs
-    from them only in the branched cell and starts with that cell's three
-    units dirty.
+    fewest candidates); ``_dfs`` is the node.  It is a module-level function,
+    not a closure, so a search leaves no function-cell reference cycle
+    behind for the cyclic garbage collector.
     """
     cand = _root(values)
     if cand is None:
         return 0, None
     first: list[list[int]] = []
-
-    def dfs(cand: list[int], budget: int) -> int:
-        pick = _branch_cell(cand)
-        if pick < 0:
-            if not first:
-                first.append([DIGITS_OF[m][0] for m in cand])
-            return 1
-        count = 0
-        for d in DIGITS_OF[cand[pick]]:
-            child = cand.copy()
-            child[pick] = BIT[d]
-            if _propagate(child, [pick], STRUCT_SET_OF[pick]):
-                count += dfs(child, budget - count)
-                if count >= budget:
-                    break
-        return count
-
-    n = dfs(cand, cap)
+    n = _dfs(cand, cap, first)
     return n, (first[0] if first else None)
 
 

@@ -575,11 +575,22 @@ def lemma_cases(hard_corpus):
     return cases
 
 
-@pytest.mark.parametrize("variant", ["reversed", "shuffled", "no_phase1"])
+def run_minuet_without_adoption(base, starter, *, trace=None):
+    """``minuet.run_minuet`` without its adopt branch: a dance whose views
+    both live goes on to ``dance_together`` even when a shadow is complete."""
+    events = trace if trace is not None else []
+    state = init_hypotheses(base, starter, events)
+    if not (state.circle.alive and state.square.alive):
+        commit_retained(state, base, events)
+        return "commit", state
+    return ("joint" if dance_together(state, base, events) else "stuck"), state
+
+
+@pytest.mark.parametrize("variant", ["reversed", "shuffled", "no_phase1", "no_adoption"])
 def test_outcome_is_a_function_of_the_puzzle(lemma_cases, monkeypatch, variant):
     """The lemma of ``solve()``: the status, ink and masks do not depend on
-    the order of the starters or on Phase I.  Traces and ``SolveStats``
-    follow the path and are not compared."""
+    the order of the starters or on Phase I, and adoption only shortens a
+    solve.  Traces and ``SolveStats`` follow the path and are not compared."""
     real = minuet.enumerate_starters
     rng = random.Random(2206)
 
@@ -592,6 +603,8 @@ def test_outcome_is_a_function_of_the_puzzle(lemma_cases, monkeypatch, variant):
         monkeypatch.setattr(minuet, "enumerate_starters", lambda grid: real(grid)[::-1])
     elif variant == "shuffled":
         monkeypatch.setattr(minuet, "enumerate_starters", shuffled)
+    elif variant == "no_adoption":
+        monkeypatch.setattr(minuet, "run_minuet", run_minuet_without_adoption)
     else:
         monkeypatch.setattr(minuet, "step1_fixpoint", lambda *a, **kw: Phase1Run())
         monkeypatch.setattr(minuet, "step2_fill", lambda *a, **kw: None)
@@ -616,7 +629,10 @@ def test_solve_adopts_a_completion_only_of_a_well_posed_puzzle(hard_corpus, monk
     """An adoption takes one view's completion without looking at the other,
     which is sound only when the puzzle has one solution.  On hard puzzles
     with one given dropped, solve() says solved only when the oracle says
-    well-posed, and a caller's verdict stands in for the oracle."""
+    well-posed, and a caller's verdict stands in for the oracle.
+
+    Every other step keeps every solution, so without adoption no puzzle
+    with several solutions is completed: each of them comes back ill-posed."""
     adopted = 0
     for puzzle in hard_corpus[::10]:
         i = puzzle.index(next(ch for ch in puzzle if ch != "."))
@@ -626,10 +642,16 @@ def test_solve_adopts_a_completion_only_of_a_well_posed_puzzle(hard_corpus, monk
         if not wp.is_well_posed:
             assert outcome.status == "ill_posed", dropped
             adopted += any(ev.rule.startswith("adopt ") for ev in outcome.trace)
+            with monkeypatch.context() as m:
+                m.setattr(minuet, "run_minuet", run_minuet_without_adoption)
+                assert solve(dropped, verdict=wp).status == "ill_posed", dropped
     assert adopted  # the adoption path was exercised on an ill-posed puzzle
 
     multiple = "7......544........8...9.2.......13....3.7....51.2.......752...8...1.4.2....9..1.."
     verdict = verify_well_posed(parse_grid(multiple))
+    with monkeypatch.context() as m:
+        m.setattr(minuet, "run_minuet", run_minuet_without_adoption)
+        assert solve(multiple, verdict=verdict).status == "ill_posed"
     monkeypatch.setattr(minuet.oracle, "verify_well_posed", None)
     outcome = solve(multiple, verdict=verdict)
     assert any(ev.rule.startswith("adopt ") for ev in outcome.trace)

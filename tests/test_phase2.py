@@ -429,6 +429,19 @@ def row_double_at_four() -> Grid:
     return row_with_four_open({6, 7}, {6, 7}, {6, 7, 8, 9}, {6, 7, 8, 9})
 
 
+def row_triple_at_six() -> Grid:
+    """No single and no double, and a naked triple {4,5,6} in row 0 whose
+    cells lie in three boxes and three columns: 1-3 are inked one per box,
+    so the row keeps 6 unsolved cells and only its triple scan can find the
+    group."""
+    g = Grid()
+    for d, c in zip((1, 2, 3), (0, 3, 6)):
+        place_ink(g, c, d)
+    for c, digits in zip((2, 5, 8), ({4, 5}, {5, 6}, {4, 6})):
+        g.masks[c] = mask_of(digits)
+    return g
+
+
 def step3_group_scans(grid: Grid, monkeypatch) -> tuple[list, list[int]]:
     """Step 3's events on ``grid`` and the structures whose group scan ran,
     once per size scanned."""
@@ -496,10 +509,15 @@ def test_step3_fixpoint_idempotent(puzzle):
     assert sum(run.finds_per_sweep) == 0
 
 
-@pytest.mark.parametrize("puzzle", [EASY, MEDIUM, HARD, TRICKY])
+@pytest.mark.parametrize("puzzle", [
+    EASY, MEDIUM, HARD, TRICKY,
+    # the only group of each sits where a guard one cell too tight would skip it
+    pytest.param(row_double_at_four, id="row_double_at_four"),
+    pytest.param(row_triple_at_six, id="row_triple_at_six"),
+])
 def test_guard_equivalence_on_fixtures(puzzle, monkeypatch):
-    a = parse_grid(puzzle)
-    b = parse_grid(puzzle)
+    a = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle()
+    b = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle()
     step3_fixpoint(a)
     monkeypatch.setattr(phase2, "_scan", partial(table_scan, use_guards=False))
     step3_fixpoint(b)
