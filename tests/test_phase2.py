@@ -516,8 +516,8 @@ def test_step3_fixpoint_idempotent(puzzle):
     pytest.param(row_triple_at_six, id="row_triple_at_six"),
 ])
 def test_guard_equivalence_on_fixtures(puzzle, monkeypatch):
-    a = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle()
-    b = parse_grid(puzzle) if isinstance(puzzle, str) else puzzle()
+    make = partial(parse_grid, puzzle) if isinstance(puzzle, str) else puzzle
+    a, b = make(), make()
     step3_fixpoint(a)
     monkeypatch.setattr(phase2, "_scan", partial(table_scan, use_guards=False))
     step3_fixpoint(b)
