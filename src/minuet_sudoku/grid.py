@@ -184,11 +184,17 @@ def grid_from_ink(solved: list[int]) -> Grid:
     """A new grid inking ``solved``'s digits (0 for an empty cell).
 
     Every empty cell starts with the full candidate set minus the digits
-    inked in its row, column and box.  Raises InconsistentGivens when a
-    digit is inked twice in one structure.
+    inked in its row, column and box.  Raises WrongLength unless ``solved``
+    has 81 cells, BadChar on a cell that is not an int in 0-9 (a bool is
+    not), and InconsistentGivens when a digit is inked twice in one
+    structure.
     """
+    if len(solved) != 81:
+        raise WrongLength(f"expected 81 cells, got {len(solved)}")
     used = [0] * 27  # inked-digit mask per flat structure
     for i, d in enumerate(solved):
+        if d.__class__ is not int or not 0 <= d <= 9:
+            raise BadChar(f"cell {i} holds {d!r}, not a digit 0-9")
         if not d:
             continue
         b = BIT[d]

@@ -452,8 +452,9 @@ def solve(puzzle: str | Grid, *, phase1_triples: bool = False,
     by adoption.  Without it, those ends run the oracle themselves.
 
     A ``Grid``'s pencil marks are rebuilt from its ink by ``grid_from_ink``,
-    as ``parse_grid`` builds them: conflicting ink raises InconsistentGivens
-    before any work.  The completed grid passes through ``grid_from_ink``
+    as ``parse_grid`` builds them: ink that is not 81 ints in 0-9 raises
+    WrongLength or BadChar, and conflicting ink InconsistentGivens, before
+    any work.  The completed grid passes through ``grid_from_ink``
     again, and a conflict there raises InconsistentSolution.
     """
     grid = parse_grid(puzzle) if isinstance(puzzle, str) else grid_from_ink(puzzle.solved)

@@ -6,10 +6,14 @@ the deduction modules: it imports only the grid type and the topology and
 bit tables.  The search builds its own candidate masks from the
 inked cells alone, ignoring the grid's pencil marks, and propagates naked and
 hidden singles with its own code before each branch, so it is a genuinely
-independent check on the solver; conflicting ink is a dead end of that
-propagation.  The hidden-single search rescans only the
-units (rows, columns, boxes) whose masks changed since their last scan,
-kept as a 27-bit set, like Step 3's dirty structures but in its own code.
+independent check on the solver.  The root is built in one pass over the
+ink: each of the 27 units (rows, columns, boxes) gathers its given digits,
+a digit given twice in a unit is a dead end, and each empty cell starts
+with the digits none of its three units holds, which is what erasing every
+given from its peers would leave; ink that is not 81 digits 0-9 raises
+ValueError there.  The hidden-single search rescans only the units whose
+masks changed since their last scan, kept as a 27-bit set, like Step 3's
+dirty structures but in its own code.
 A unit scan keeps the unit's placed digits apart, so it looks for hidden
 singles only among the digits of unsolved cells; that is exact because a
 unit is scanned only after every placed digit is erased from its peers.
@@ -27,6 +31,7 @@ from .grid import ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF, Gr
 MIN_CLUES_FOR_UNIQUE = 17  # no 16-clue puzzle has a unique solution
 
 PEER_BITS = tuple(sum(1 << p for p in PEERS[c]) for c in range(81))  # 81-bit, by cell
+UNITS_OF = tuple(tuple(u for u in range(27) if c in CELLS_OF[u]) for c in range(81))  # row, column, box
 
 
 class NotWellPosed(Exception):
@@ -142,11 +147,48 @@ def _branch_cell(cand: list[int]) -> int:
 
 def _root(values: list[int]) -> list[int] | None:
     """The inked cells' candidate masks at their singles fixpoint, or None at
-    a dead end, conflicting ink included (the first digit empties the second)."""
-    cand = [BIT[d] if d else ALL_DIGITS for d in values]
-    if _propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
-        return cand
-    return None
+    a dead end.
+
+    One pass over the ink ORs each given's bit into the masks of its three
+    units; a digit given twice in a unit is a dead end.  An empty cell then
+    starts with the digits none of its units holds, a dead end when there is
+    none, and the cells left with one candidate seed ``todo``.  These are
+    the masks that erasing every given from its peers gives, so by
+    ``_propagate``'s lemma the fixpoint is the same.  Raises ValueError
+    unless ``values`` is 81 ints in 0-9 (bools excluded); the check rides
+    on the same pass, and malformed ink raises even beside a dead end.
+    """
+    if len(values) != 81:
+        raise ValueError(f"expected 81 cells, got {len(values)}")
+    cand = [ALL_DIGITS] * 81
+    used = [0] * 27  # given-digit mask per unit
+    empty = []
+    clash = False
+    for i, d in enumerate(values):
+        if d.__class__ is not int or not 0 <= d <= 9:
+            raise ValueError(f"cell {i} holds {d!r}, not a digit 0-9")
+        if not d:
+            empty.append(i)
+            continue
+        b = cand[i] = BIT[d]
+        r, c, x = UNITS_OF[i]
+        if (used[r] | used[c] | used[x]) & b:
+            clash = True
+        used[r] |= b
+        used[c] |= b
+        used[x] |= b
+    if clash:
+        return None
+    todo = []
+    for i in empty:
+        r, c, x = UNITS_OF[i]
+        m = ALL_DIGITS ^ (used[r] | used[c] | used[x])
+        if not m:
+            return None
+        cand[i] = m
+        if not m & (m - 1):
+            todo.append(i)
+    return cand if _propagate(cand, todo, (1 << 27) - 1) else None
 
 
 def _dfs(cand: list[int], budget: int, first: list[list[int]]) -> int:

@@ -1,8 +1,9 @@
 import pytest
 
-from minuet_sudoku import (AlreadySolved, BadChar, Grid, InconsistentGivens,
+from minuet_sudoku import (AlreadySolved, BadChar, Grid, GridError, InconsistentGivens,
                            NotACandidate, Structure, WrongLength, brute_solve,
-                           parse_grid, place_ink, serialize_grid)
+                           count_solutions, parse_grid, place_ink, serialize_grid,
+                           solve, verify_well_posed)
 from minuet_sudoku.grid import CELLS_OF, PEERS, STRUCTS_OF, STRUCTURES, grid_from_ink
 
 from puzzles import EASY, EASY_SOLUTION, HARD, MEDIUM
@@ -55,6 +56,49 @@ def test_grid_from_ink_builds_the_parsed_grid():
     row_conflict[27] = row_conflict[30] = 5
     with pytest.raises(InconsistentGivens, match="digit 5 appears twice in row 3"):
         grid_from_ink(row_conflict)
+
+def malformed_inks() -> dict[str, tuple[list, type]]:
+    """Malformed ink and the GridError it raises: EASY's ink with one cell
+    made malformed, or cut or grown to a wrong length."""
+    ink = parse_grid(EASY).solved
+    nine, one = (next(i for i in range(81) if not ink[i] and EASY_SOLUTION[i] == d)
+                 for d in "91")
+    given = next(i for i in range(81) if ink[i])
+
+    def at(cell: int, value, base: list = ink) -> list:
+        out = base.copy()
+        out[cell] = value
+        return out
+
+    return {
+        "minus_one": (at(nine, -1), BadChar),  # BIT[-1] is digit 9's bit
+        "ten": (at(nine, 10), BadChar),
+        "true": (at(one, True), BadChar),
+        "false": (at(one, False), BadChar),
+        "float": (at(given, float(ink[given])), BadChar),
+        "text": (at(given, str(ink[given])), BadChar),
+        "clash_then_minus_one": (at(80, -1, [5, 5] + [0] * 79), GridError),
+        "80_cells": (ink[:80], WrongLength),
+        "82_cells": (ink + [0], WrongLength),
+    }
+
+
+MALFORMED = malformed_inks()
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_ink_raises_before_any_work(case):
+    """Ink that is not 81 ints in 0-9 (a bool is not one) raises a GridError
+    in ``grid_from_ink`` and ``solve``, and ValueError in the oracle."""
+    ink, error = MALFORMED[case]
+    with pytest.raises(error):
+        grid_from_ink(ink)
+    with pytest.raises(error):
+        solve(Grid(ink))
+    for check in (verify_well_posed, count_solutions, brute_solve):
+        with pytest.raises(ValueError, match="81 cells|not a digit 0-9"):
+            check(Grid(ink))
+
 
 def test_serialize_empty_and_solved():
     assert serialize_grid(Grid()) == "." * 81

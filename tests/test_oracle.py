@@ -196,12 +196,60 @@ def test_propagate_matches_full_scan_reference():
     assert verdicts.count(True) > 100 and verdicts.count(False) > 20
 
 
+def peerwise_root(values: list[int]) -> list[int] | None:
+    """``oracle._root`` as it was before its unit-union pass: every given
+    goes into ``todo``, and ``_propagate`` erases it from its 20 peers, so
+    the first of two equal givens in a unit empties the second.  The
+    reference for the root's masks."""
+    cand = [BIT[d] if d else ALL_DIGITS for d in values]
+    if oracle._propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
+        return cand
+    return None
+
+
+def with_a_digit_given_twice(rng: random.Random, puzzle: str, kind: int) -> str:
+    """The puzzle with one given's digit written again into an empty cell of
+    its row (``kind`` 0), its column (1) or its box (2); for the box, one
+    in another row and column, so that only the box holds the digit twice."""
+    givens = [i for i in range(81) if puzzle[i] != "."]
+    for i in rng.sample(givens, len(givens)):
+        box = 3 * (i // 27) + i % 9 // 3
+        unit = CELLS_OF[(i // 9, 9 + i % 9, 18 + box)[kind]]
+        free = [j for j in unit if puzzle[j] == "."
+                and (kind < 2 or (j // 9 != i // 9 and j % 9 != i % 9))]
+        if free:
+            chars = list(puzzle)
+            chars[rng.choice(free)] = puzzle[i]
+            return "".join(chars)
+    raise AssertionError("no empty cell beside a given")
+
+
+def test_root_matches_the_peerwise_root(full_corpus):
+    """The unit-union root gives the peerwise root's masks, or None on both
+    sides: on the corpus, the golden stall set, minimal puzzles, seeded
+    consistent grids of 17-40 givens, grids of fewer than 17 givens, and
+    grids with a digit given twice in a row, a column or a box."""
+    rng = random.Random(52)
+    consistent = [p for p, _ in dug_grids(50, 200, (17, 40))]
+    sparse = [p for p, _ in dug_grids(51, 30, (0, 16))] + planted_dead_ends(53, 20)
+    twice = [with_a_digit_given_twice(rng, p, kind) for p in consistent[:12] for kind in range(3)]
+    cases = full_corpus + stall_puzzles() + consistent + sparse + twice
+    cases += [dig_minimal(random.Random(seed)) for seed in range(61000, 61040)]
+    dead = set()
+    for puzzle in cases:
+        values = [0 if ch == "." else int(ch) for ch in puzzle]
+        root = oracle._root(values)
+        assert root == peerwise_root(values), puzzle
+        if root is None:
+            dead.add(puzzle)
+    assert dead > set(twice) and len(dead) < len(cases) // 4
+
+
 def fewest_candidates_search(values: list[int], cap: int) -> tuple[int, list[int] | None]:
     """``oracle._search`` as it was before ``_branch_cell``: each node
     branches on the first cell with the fewest candidates, stopping at the
     first bivalue cell.  The reference for the search order; it shares
     ``oracle._propagate``, which the order leaves unchanged."""
-    cand = [BIT[d] if d else ALL_DIGITS for d in values]
     first: list[list[int]] = []
 
     def dfs(cand: list[int], budget: int) -> int:
@@ -227,7 +275,8 @@ def fewest_candidates_search(values: list[int], cap: int) -> tuple[int, list[int
                     break
         return count
 
-    if not oracle._propagate(cand, [i for i in range(81) if values[i]], (1 << 27) - 1):
+    cand = peerwise_root(values)
+    if cand is None:
         return 0, None
     n = dfs(cand, cap)
     return n, (first[0] if first else None)

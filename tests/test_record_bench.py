@@ -153,3 +153,27 @@ def test_bench_pairs_stops_at_a_wrong_answer(tmp_path, monkeypatch):
         tool.main(["minuet", "--parent", str(parent), "--change", str(change),
                    "--seed", "1", "--pairs", "4"])
     assert log.read_text().splitlines() == ["parent 1 30.0 0", "change 1 30.0 0"]
+
+
+@pytest.mark.parametrize("parent_base, change_base, seed, pairs, lower, higher", [
+    # parent 14, 15, 16 against change 12, 13, 14: IQR 1, bound 25%
+    (10.0, 8.0, 900, 3, "gain holds", "no change shown"),
+    # change 24, 25, 26: 67% worse where lower is better
+    (10.0, 20.0, 900, 3, "worse than bound", "gain holds"),
+    # seeds 903-906 read 1, 2, 3, 4 on both sides: IQR 60% of the median
+    (1.0, 1.0, 903, 4, "unresolved", "unresolved"),
+])
+def test_bench_pairs_gives_each_metric_a_verdict(tmp_path, monkeypatch, capsys, parent_base,
+                                                 change_base, seed, pairs, lower, higher):
+    tool = load_pairs_tool(monkeypatch)
+    log = tmp_path / "log"
+    parent = fake_side(tmp_path / "parent", "parent", parent_base, log)
+    change = fake_side(tmp_path / "change", "change", change_base, log)
+    assert tool.main(["fixpoint", "--parent", str(parent), "--change", str(change),
+                      "--seed", str(seed), "--pairs", str(pairs)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    verdicts = {line.split()[-1]: " ".join(line.split()[:-1])
+                for line in out[out.index("verdicts:") + 1:]}
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert verdicts == {name: lower if way == "lower" else higher for name, way in better.items()}

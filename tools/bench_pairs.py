@@ -10,9 +10,18 @@ answer or counts an operation that raised stops the whole comparison.
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the parent's interquartile range, the change of the median,
 and the pairs the change won (ties count for neither side); then every
-pair's two readings, so each run made is on record.  A gain holds
-when the change wins at least nine pairs in ten and its median differs from
-the parent's by more than the parent's interquartile range.
+pair's two readings, so each run made is on record; then a verdict for
+each metric, the first of these that applies:
+
+  gain holds        the change wins at least nine pairs in ten, and its
+                    median is better than the parent's by more than the
+                    parent's interquartile range
+  worse than bound  the change's median is worse than the parent's by more
+                    than the metric's bound in BENCHMARK.json
+  unresolved        the parent's interquartile range is wider than the bound
+                    (relative to its median), and not every change run beats
+                    every parent run
+  no change shown   otherwise
 
 Usage: python tools/bench_pairs.py WORKLOAD --parent DIR [--change DIR]
            --seed SEED [--pairs N]
@@ -32,10 +41,11 @@ from pathlib import Path
 from record_bench import ROOT, SECONDS, WORKLOADS, commit_of, run_once
 
 
-def end_to_end_metrics() -> dict[str, str]:
-    """Each end-to-end metric's name and better direction, from BENCHMARK.json."""
+def end_to_end_metrics() -> dict[str, tuple[str, float]]:
+    """Each end-to-end metric's better direction and relative bound, by name,
+    from BENCHMARK.json."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
 def run_pairs(parent: Path, change: Path, workload: str, seed: int,
@@ -59,11 +69,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """One line per metric: medians, quartiles, parent IQR, median change, wins."""
+def verdict(before: list[float], after: list[float], sign: int, bound: float) -> str:
+    """The module docstring's verdict on one metric; ``sign`` is 1 when
+    higher is better and -1 when lower is."""
+    b1, b2, b3 = quartiles(before)
+    gap = sign * (statistics.median(after) - b2)  # positive: the change is better
+    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
+    if 10 * wins >= 9 * len(before) and gap > b3 - b1:
+        return "gain holds"
+    if -gap > bound * b2:
+        return "worse than bound"
+    beats_all = min(sign * a for a in after) > max(sign * b for b in before)
+    if b3 - b1 > bound * b2 and not beats_all:
+        return "unresolved"
+    return "no change shown"
+
+
+def summarize(runs: list[tuple[dict, dict]], metrics: dict[str, tuple[str, float]]) -> list[str]:
+    """One line per metric: medians, quartiles, parent IQR, median change,
+    wins; then every pair's readings and every metric's verdict."""
     lines = [f"{'metric':<27}{'parent median [q1, q3]':<28}{'change median [q1, q3]':<28}"
              f"{'parent IQR':<12}{'change':<9}wins"]
-    for name, direction in better.items():
+    verdicts = []
+    for name, (direction, bound) in metrics.items():
         before = [p[name]["value"] for p, _ in runs]
         after = [c[name]["value"] for _, c in runs]
         b1, b2, b3 = quartiles(before)
@@ -73,11 +101,12 @@ def summarize(runs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str
         lines.append(f"{name:<27}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<28}"
                      f"{f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<28}{b3 - b1:<12.4g}"
                      f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}{wins}/{len(runs)}")
+        verdicts.append(f"  {verdict(before, after, sign, bound):<18}{name}")
     lines.append("pairs (parent -> change):")
-    for name in better:
+    for name in metrics:
         pairs = "  ".join(f"{p[name]['value']:.4g}->{c[name]['value']:.4g}" for p, c in runs)
         lines.append(f"  {name}: {pairs}")
-    return lines
+    return lines + ["verdicts:"] + verdicts
 
 
 def main(argv: list[str] | None = None) -> int:
