@@ -69,13 +69,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def wins(before: list[float], after: list[float], sign: int) -> int:
+    """The pairs the change won; ``sign`` is 1 when higher is better and -1
+    when lower is."""
+    return sum(sign * (a - b) > 0 for b, a in zip(before, after))
+
+
 def verdict(before: list[float], after: list[float], sign: int, bound: float) -> str:
-    """The module docstring's verdict on one metric; ``sign`` is 1 when
-    higher is better and -1 when lower is."""
+    """The module docstring's verdict on one metric."""
     b1, b2, b3 = quartiles(before)
     gap = sign * (statistics.median(after) - b2)  # positive: the change is better
-    wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
-    if 10 * wins >= 9 * len(before) and gap > b3 - b1:
+    if 10 * wins(before, after, sign) >= 9 * len(before) and gap > b3 - b1:
         return "gain holds"
     if -gap > bound * b2:
         return "worse than bound"
@@ -97,10 +101,9 @@ def summarize(runs: list[tuple[dict, dict]], metrics: dict[str, tuple[str, float
         b1, b2, b3 = quartiles(before)
         a1, a2, a3 = quartiles(after)
         sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         lines.append(f"{name:<27}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<28}"
                      f"{f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<28}{b3 - b1:<12.4g}"
-                     f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}{wins}/{len(runs)}")
+                     f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}{wins(before, after, sign)}/{len(runs)}")
         verdicts.append(f"  {verdict(before, after, sign, bound):<18}{name}")
     lines.append("pairs (parent -> change):")
     for name in metrics:
