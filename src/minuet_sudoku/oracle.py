@@ -31,7 +31,8 @@ from .grid import ALL_DIGITS, BIT, CELLS_OF, DIGITS_OF, PEERS, STRUCT_SET_OF, Gr
 MIN_CLUES_FOR_UNIQUE = 17  # no 16-clue puzzle has a unique solution
 
 PEER_BITS = tuple(sum(1 << p for p in PEERS[c]) for c in range(81))  # 81-bit, by cell
-UNITS_OF = tuple(tuple(u for u in range(27) if c in CELLS_OF[u]) for c in range(81))  # row, column, box
+# row, column and box of each cell
+UNITS_OF = tuple(tuple(u for u in range(27) if c in CELLS_OF[u]) for c in range(81))
 
 
 class NotWellPosed(Exception):

@@ -57,6 +57,7 @@ def test_grid_from_ink_builds_the_parsed_grid():
     with pytest.raises(InconsistentGivens, match="digit 5 appears twice in row 3"):
         grid_from_ink(row_conflict)
 
+
 def malformed_inks() -> dict[str, tuple[list, type]]:
     """Malformed ink and the GridError it raises: EASY's ink with one cell
     made malformed, or cut or grown to a wrong length."""
