@@ -162,22 +162,24 @@ class Grid:
         return "\n".join(lines)
 
 
+_PUZZLE_CHARS = frozenset("0123456789.")
+# byte -> ink: '0'-'9' to 0-9 and '.' to 0; parse_grid admits no other byte
+_INK_OF_CHAR = bytes.maketrans(b"0123456789.", bytes(range(10)) + b"\0")
+
+
 def parse_grid(text: str) -> Grid:
     """Parse an 81-character puzzle (digits 1-9 are givens; '.' or '0' empty).
 
     Whitespace and newlines are ignored.  The grid is ``grid_from_ink``'s
     for the givens.  Raises WrongLength, BadChar, or InconsistentGivens.
     """
-    chars = []
-    for ch in text:
-        if ch.isspace():
-            continue
-        if ch not in "0123456789.":
-            raise BadChar(f"invalid character {ch!r}")
-        chars.append(ch)
+    chars = "".join(text.split())  # str.split drops exactly what str.isspace accepts
+    if not _PUZZLE_CHARS.issuperset(chars):
+        bad = next(ch for ch in chars if ch not in _PUZZLE_CHARS)
+        raise BadChar(f"invalid character {bad!r}")
     if len(chars) != 81:
         raise WrongLength(f"expected 81 significant characters, got {len(chars)}")
-    return grid_from_ink([0 if ch == "." else int(ch) for ch in chars])
+    return grid_from_ink(list(chars.encode("ascii").translate(_INK_OF_CHAR)))
 
 
 def grid_from_ink(solved: list[int]) -> Grid:

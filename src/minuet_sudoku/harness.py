@@ -15,15 +15,17 @@ forks the others for that call only.  A self-check that fails in any worker
 aborts the batch and stops every child, and a child that dies without
 sending its results raises ChildProcessError instead of leaving the batch
 waiting.
+
+``multiprocessing``, ``statistics`` and ``json`` are imported inside the
+calls that use them (a forking ``batch_solve``, ``BatchStats.render`` and
+``render_report``), so a solve, an oracle check or a one-worker batch never
+loads them.
 """
 
 from __future__ import annotations
 
-import json
-import statistics
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process
 from pathlib import Path
 
 from . import oracle
@@ -43,12 +45,14 @@ class SelfCheckFailed(Exception):
 
 @dataclass(frozen=True, slots=True)
 class CorpusEntry:
+    """One valid puzzle line of a corpus file, with its line number."""
     line_no: int
     text: str
 
 
 @dataclass(slots=True)
 class CorpusLoad:
+    """A corpus file's valid entries and its per-line parse errors."""
     path: str
     entries: list[CorpusEntry]
     errors: list[tuple[int, str]]
@@ -80,6 +84,7 @@ def load_corpus(path: str | Path) -> CorpusLoad:
 
 @dataclass(slots=True)
 class PuzzleResult:
+    """One batch entry's status, verdict, times and answer or report."""
     line_no: int
     status: str  # "solved" | "failure" | "ill_posed" | "error"
     well_posedness: str  # an oracle status, or "unknown" if the oracle did not finish
@@ -160,6 +165,7 @@ def _run_share(entries: list[CorpusEntry], conn) -> None:
 
 @dataclass(slots=True)
 class BatchStats:
+    """A batch's counts, per-puzzle times and failure-rate bound."""
     puzzles: int
     well_posed: int
     solved: int
@@ -173,6 +179,8 @@ class BatchStats:
     confidence_bound: float | None
 
     def render(self) -> str:
+        import statistics
+
         lines = [
             f"puzzles:              {self.puzzles}",
             f"well-posed:           {self.well_posed}",
@@ -203,6 +211,7 @@ class BatchStats:
 
 @dataclass(slots=True)
 class BatchResult:
+    """A batch's stats, its per-entry results and its failure reports."""
     stats: BatchStats
     results: list[PuzzleResult]
     reports: list[tuple[int, FailureReport]] = field(default_factory=list)
@@ -240,6 +249,8 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     check_batch_options(jobs, level)
     entries = corpus.entries
     workers = max(1, min(jobs, len(entries)))
+    if workers > 1:
+        from multiprocessing import Pipe, Process
     children = []  # (process, receiving end) per forked worker
     try:
         for k in range(1, workers):
@@ -396,6 +407,8 @@ def render_trace(trace: list[TraceEvent], verbosity: str = "summary") -> str:
 
 def render_report(report: FailureReport) -> str:
     """Line-oriented counterexample report plus a machine-readable JSON block."""
+    import json
+
     lines = [
         "CONJECTURE FAILURE REPORT",
         f"reason:        {report.reason}",

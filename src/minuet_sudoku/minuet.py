@@ -82,6 +82,7 @@ class Starter(NamedTuple):
 
 @dataclass(slots=True)
 class HypothesisView:
+    """One side of a starter: the label and the shadow grid developed under it."""
     label: str  # "circle" | "square"
     shadow: Grid
     # set when the view is contradicted; kept without its traceback, whose
@@ -100,6 +101,7 @@ class HypothesisView:
 
 @dataclass(slots=True)
 class MinuetState:
+    """A starter and its two hypothesis views."""
     starter: Starter
     circle: HypothesisView
     square: HypothesisView
@@ -107,6 +109,7 @@ class MinuetState:
 
 @dataclass(slots=True)
 class SolveStats:
+    """Per-solve counters of Phase I passes, Step-3 sweeps and the minuet."""
     phase1_passes: int = 0
     phase1_finds: int = 0
     step3_sweeps: int = 0
@@ -142,6 +145,7 @@ class FailureReport:
 
 @dataclass(slots=True)
 class SolveOutcome:
+    """What ``solve()`` returns: status, grids, trace, stats and any report."""
     status: str  # "solved" | "conjecture_failure" | "ill_posed"
     grid: Grid
     start: Grid

@@ -41,6 +41,7 @@ class NotWellPosed(Exception):
 
 @dataclass(frozen=True)
 class WellPosedness:
+    """The oracle's verdict on a puzzle, with its solution when it has one."""
     status: str  # "well_posed" | "no_solution" | "multiple_solutions"
     solution: Grid | None = None
 

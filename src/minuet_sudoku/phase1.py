@@ -44,6 +44,7 @@ EVERY_DIGIT = tuple(sum(1 << 9 * d + bx for d in range(1, 10)) for bx in range(9
 
 @dataclass(slots=True)
 class Phase1Run:
+    """The finds of each Step-1 pass of one ``step1_fixpoint`` call."""
     finds_per_pass: list[int] = field(default_factory=list)
 
     @property

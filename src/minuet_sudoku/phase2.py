@@ -43,6 +43,7 @@ GROUP_NAMES = {2: ("3.2", "double"), 3: ("3.3", "triple")}  # size -> step, name
 
 @dataclass(slots=True)
 class FixpointRun:
+    """The finds of each sweep of one ``step3_fixpoint`` call."""
     finds_per_sweep: list[int] = field(default_factory=list)
 
     @property

@@ -36,6 +36,40 @@ def test_parse_inconsistent_givens():
         parse_grid("55" + "." * 79)
 
 
+@pytest.mark.parametrize("text,error,message", [
+    ("x" + "." * 79 + "y", BadChar, "invalid character 'x'"),  # the first bad one
+    ("." * 40 + "?" + "." * 39 + "!", BadChar, "invalid character '?'"),
+    ("." * 10 + "x", BadChar, "invalid character 'x'"),  # BadChar before WrongLength
+    ("." * 90 + "-", BadChar, "invalid character '-'"),
+    ("５" + "." * 80, BadChar, "invalid character '５'"),  # fullwidth digit five
+    ("." * 80 + "٣", BadChar, "invalid character '٣'"),  # Arabic-Indic digit three
+    ("\t." * 80, WrongLength, "expected 81 significant characters, got 80"),
+    ("." * 82 + "\r\n", WrongLength, "expected 81 significant characters, got 82"),
+    ("", WrongLength, "expected 81 significant characters, got 0"),
+], ids=["first_of_two", "first_of_two_inside", "short_bad", "long_bad", "fullwidth",
+        "arabic_indic", "tabs_short", "crlf_long", "empty"])
+def test_parse_errors_name_the_first_bad_character_then_the_length(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_grid(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("layout", ["tabs", "crlf", "nbsp", "mixed"])
+def test_parse_ignores_every_whitespace_and_reads_zero_and_dot_as_empty(layout):
+    rows = [EASY[9 * r:9 * r + 9] for r in range(9)]
+    rows = [row.replace("0", ".") if r % 2 else row for r, row in enumerate(rows)]
+    text = {
+        "tabs": "\t".join("\t".join(row) for row in rows),
+        "crlf": "\r\n".join(rows) + "\r\n",
+        "nbsp": "\xa0".join(rows),
+        "mixed": " \x0b\x0c ".join(rows) + "　\n",
+    }[layout]
+    assert "." in text and "0" in text
+    assert serialize_grid(parse_grid(text)) == EASY.replace("0", ".")
+    assert parse_grid(text) == parse_grid(EASY)
+
+
 def test_parse_excludes_inked_digits_from_candidates():
     g = parse_grid("5" + "." * 80)
     assert 5 not in g.candidates(1)   # same row

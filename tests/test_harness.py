@@ -373,7 +373,7 @@ def test_batch_starts_no_more_workers_than_entries(tmp_path, monkeypatch, jobs, 
             started.append([entry.line_no for entry in self.share])
             super().start()
 
-    monkeypatch.setattr(harness, "Process", SpiedProcess)
+    monkeypatch.setattr(multiprocessing, "Process", SpiedProcess)  # read at call time
     result = batch_solve(small_corpus(tmp_path, lines), jobs=jobs)
     assert started == expected
     assert result.stats.solved == len(lines)

@@ -136,10 +136,11 @@ def test_bench_pairs_alternates_sides_and_counts_wins(tmp_path, monkeypatch, cap
         "change 901 30.0 0", "parent 901 30.0 0",
         "parent 902 30.0 0", "change 902 30.0 0"]
     rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
-    # seeds 900-902 add 4, 5 and 6: parent 14, 15, 16 and change 12, 13, 14
+    # seeds 900-902 add 4, 5 and 6: parent 14, 15, 16 and change 12, 13, 14,
+    # so the per-pair ratios are 12/14, 13/15 and 14/16
     assert rows["oracle_ms_p50"].split() == [
         "oracle_ms_p50", "15", "[14.5,", "15.5]", "13", "[12.5,", "13.5]", "1", "-13.3%",
-        "3/3"]
+        "0.867", "[0.862,", "0.871]", "3/3"]
     assert rows["solve_puzzles_per_s"].endswith("0/3")  # higher is better there
     assert rows["oracle_ms_p50:"] == "  oracle_ms_p50: 14->12  15->13  16->14"
 
@@ -153,6 +154,24 @@ def test_bench_pairs_stops_at_a_wrong_answer(tmp_path, monkeypatch):
         tool.main(["minuet", "--parent", str(parent), "--change", str(change),
                    "--seed", "1", "--pairs", "4"])
     assert log.read_text().splitlines() == ["parent 1 30.0 0", "change 1 30.0 0"]
+
+
+def test_bench_pairs_ratios_see_through_drift_that_both_sides_share(monkeypatch):
+    """The parent drifts 1.5x between the first five pairs and the last five,
+    and every change run is 20% below its pair's parent run.  The per-pair
+    ratios read 0.800 on every pair, while the verdict, which compares the
+    two sides' spreads as the benchmark's gain test does, stays unresolved."""
+    tool = load_pairs_tool(monkeypatch)
+    parent = [10.0] * 5 + [15.0] * 5
+    runs = [({"setup_s": {"value": p}}, {"setup_s": {"value": 0.8 * p}}) for p in parent]
+    lines = tool.summarize(runs, {"setup_s": ("lower", 0.25)})
+    row = next(line for line in lines if line.startswith("setup_s "))
+    # parent 12.5 [10, 15], change 10 [8, 12]: the median gap 2.5 is under
+    # the parent's IQR 5, and 5 is over 25% of 12.5
+    assert row.split() == ["setup_s", "12.5", "[10,", "15]", "10", "[8,", "12]", "5", "-20.0%",
+                           "0.800", "[0.800,", "0.800]", "10/10"]
+    assert lines[lines.index("verdicts:") + 1].split() == ["unresolved", "setup_s"]
+    assert tool.verdict(parent, [0.8 * p for p in parent], -1, 0.25) == "unresolved"
 
 
 @pytest.mark.parametrize("parent_base, change_base, seed, pairs, lower, higher", [

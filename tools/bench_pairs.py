@@ -9,9 +9,10 @@ answer or counts an operation that raised stops the whole comparison.
 
 For each end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the parent's interquartile range, the change of the median,
-and the pairs the change won (ties count for neither side); then every
-pair's two readings, so each run made is on record; then a verdict for
-each metric, the first of these that applies:
+the median and quartiles of the per-pair ratios change / parent, and the
+pairs the change won (ties count for neither side); then every pair's two
+readings, so each run made is on record; then a verdict for each metric,
+the first of these that applies:
 
   gain holds        the change wins at least nine pairs in ten, and its
                     median is better than the parent's by more than the
@@ -22,6 +23,11 @@ each metric, the first of these that applies:
                     (relative to its median), and not every change run beats
                     every parent run
   no change shown   otherwise
+
+The verdict compares the two sides' spreads, as the benchmark's gain test
+does, so drift in the machine's speed that both runs of a pair share reads
+as spread there.  The ratios cancel that drift: a change that makes every
+run 20% faster reads 0.800 [0.800, 0.800] however far the machine drifts.
 
 Usage: python tools/bench_pairs.py WORKLOAD --parent DIR [--change DIR]
            --seed SEED [--pairs N]
@@ -91,19 +97,23 @@ def verdict(before: list[float], after: list[float], sign: int, bound: float) ->
 
 def summarize(runs: list[tuple[dict, dict]], metrics: dict[str, tuple[str, float]]) -> list[str]:
     """One line per metric: medians, quartiles, parent IQR, median change,
-    wins; then every pair's readings and every metric's verdict."""
+    per-pair ratio quartiles, wins; then every pair's readings and every
+    metric's verdict."""
     lines = [f"{'metric':<27}{'parent median [q1, q3]':<28}{'change median [q1, q3]':<28}"
-             f"{'parent IQR':<12}{'change':<9}wins"]
+             f"{'parent IQR':<12}{'change':<9}{'ratio median [q1, q3]':<24}wins"]
     verdicts = []
     for name, (direction, bound) in metrics.items():
         before = [p[name]["value"] for p, _ in runs]
         after = [c[name]["value"] for _, c in runs]
         b1, b2, b3 = quartiles(before)
         a1, a2, a3 = quartiles(after)
+        r1, r2, r3 = quartiles([a / b for b, a in zip(before, after)])
         sign = 1 if direction == "higher" else -1
         lines.append(f"{name:<27}{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<28}"
                      f"{f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<28}{b3 - b1:<12.4g}"
-                     f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}{wins(before, after, sign)}/{len(runs)}")
+                     f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}"
+                     f"{f'{r2:.3f} [{r1:.3f}, {r3:.3f}]':<24}"
+                     f"{wins(before, after, sign)}/{len(runs)}")
         verdicts.append(f"  {verdict(before, after, sign, bound):<18}{name}")
     lines.append("pairs (parent -> change):")
     for name in metrics:
