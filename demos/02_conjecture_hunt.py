@@ -15,9 +15,11 @@ print(f"batching {len(corpus.entries)} Step-3-resistant puzzles...")
 result = batch_solve(corpus)
 print(result.stats.render())
 
-# A 21-clue puzzle engineered so that neither hypothesis of any starter
-# develops far enough to matter: every starter dances to a stall.
-print("\nnow an extreme hand-crafted puzzle:")
+# A published 21-clue puzzle, recalled (unverified) as the one Arto Inkala
+# published in 2012 as the "world's hardest sudoku": neither hypothesis of
+# any starter develops far enough to matter, so every starter dances to a
+# stall.  corpora/counterexamples.txt holds it and four more published ones.
+print("\nnow a published hard puzzle (Inkala 2012, as recalled):")
 outcome = solve(STALL)
 print(f"outcome: {outcome.status} ({outcome.reason})")
 print()

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from .grid import PEERS, Grid, parse_grid, place_ink, serialize_grid
 from .oracle import _root, count_solutions
 
-# A hand-crafted 21-clue well-posed puzzle on which every starter dances to
-# a stall: a known counterexample to the conjecture.
+# A published 21-clue well-posed puzzle on which every starter dances to a
+# stall: a known counterexample to the conjecture.  It is, as recalled and
+# unverified, the puzzle Arto Inkala published in 2012 as the "world's
+# hardest sudoku".  corpora/counterexamples.txt lists it with four more.
 STALL = ("800000000003600000070090200050007000000045700"
          "000100030001000068008500010090000400")
 

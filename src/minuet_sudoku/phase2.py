@@ -6,13 +6,15 @@ one tally pass over its cells (``_tally``): the inked digits, empty cells,
 the first naked single, the cells with 2 and with 2-3 candidates, and the
 place accumulators ``seen``, ``twice``, ``thrice`` and ``four`` (digits with
 at least one, two, three, four places).  A digit neither inked nor in
-``twice`` is starved or a hidden single.  Once no single is left, the group
-scan of size ``k`` reads the same tally: a naked group is ``k`` of the cells
-with 2..k candidates whose masks span ``k`` digits, a hidden group ``k`` of
-the digits with 2..k places (``twice & ~thrice`` for doubles, ``twice &
-~four`` for triples) whose positions span ``k`` cells.  Positions are built
-for those digits only, and only when there are ``k`` of them; the tally is
-taken again only after a cleanup erases.
+``twice`` is starved or a hidden single.  Once no single is left, doubles
+and triples are one rule read two ways, and one search (``_find_group``)
+reads it both ways from the same tally: ``k`` of the cells with 2..k
+candidates whose masks span ``k`` digits (naked), then ``k`` of the digits
+with 2..k places (``twice & ~thrice`` for doubles, ``twice & ~four`` for
+triples) whose positions span ``k`` cells (hidden).  Positions are built
+for those digits only, and only when there are ``k`` of them.  The search
+returns the first group whose cleanup erases something; the visit logs it
+and takes the tally again before the next search.
 
 Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
 cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
@@ -83,9 +85,8 @@ def _ink(grid, cell, digit, step, rule, s, events, view) -> int:
 def _tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
     """One pass over a structure's cells.  Returns the inked digits, the
     first naked single (or None), the digits with one place or more and with
-    two or more, and a tuple indexed by group size ``k`` (2 or 3) of the
-    cells with 2..k candidates and the digits with 2..k places.  Raises on
-    an empty cell."""
+    two or more, and for doubles and then triples the cells with 2..k
+    candidates and the digits with 2..k places.  Raises on an empty cell."""
     masks = grid.masks
     solved = grid.solved
     inked = seen = twice = thrice = four = 0
@@ -110,22 +111,22 @@ def _tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
                 small.append(c)
                 if n == 2:
                     pairs.append(c)
-    return inked, naked, seen, twice, (None, None, (pairs, twice & ~thrice),
-                                       (small, twice & ~four))
+    return inked, naked, seen, twice, ((pairs, twice & ~thrice), (small, twice & ~four))
 
 
 def _scan(grid: Grid, s: int, events: list, view: str | None) -> int:
     """Ink singles until none is left: an empty cell raises first, then the
     lowest naked single is inked, else the lowest digit that is starved
-    (raises) or a hidden single (inked).  Then run ``_scan_size`` for
-    doubles and then triples, each only if the structure keeps enough
-    unsolved cells (module docstring).  Returns the structures the inks and
-    cleanups changed (27-bit)."""
+    (raises) or a hidden single (inked).  Then clean up and log each group
+    ``_find_group`` finds, taking the tally again after each, doubles until
+    none is left and then triples, each size only if the structure keeps
+    enough unsolved cells (module docstring).  Returns the structures the
+    inks and cleanups changed (27-bit)."""
     cells = CELLS_OF[s]
     masks = grid.masks
     hit = 0
     while True:
-        inked, naked, seen, twice, by_size = _tally(grid, cells)
+        inked, naked, seen, twice, groups = _tally(grid, cells)
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
             hit |= _ink(grid, naked, d, "3.1", "naked single", s, events, view)
@@ -142,56 +143,48 @@ def _scan(grid: Grid, s: int, events: list, view: str | None) -> int:
     for k in (2, 3):
         if 9 - inked.bit_count() < 2 * k:
             break  # a structure too small for doubles is too small for triples
-        found, by_size = _scan_size(grid, s, k, by_size, events, view)
-        hit |= found
+        while found := _find_group(grid, s, k, groups):
+            kind, group, digits, erased = found
+            step, size = GROUP_NAMES[k]
+            hit |= _structures_hit(erased)
+            events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
+                                     group, digits, (), tuple(erased)))
+            groups = _tally(grid, cells)[4]
     return hit
 
 
-def _scan_size(grid: Grid, s: int, k: int, by_size: tuple, events: list,
-               view: str | None) -> tuple[int, tuple]:
+def _find_group(grid: Grid, s: int, k: int, groups: tuple) -> tuple | None:
     """Clean up (Rule 21) the first group of size ``k`` whose cleanup erases
-    something, log it, and look again, until no group erases anything.
-    Groups come in ``combinations`` order of the cells with 2..k candidates
-    (naked), then of the digits with 2..k places (hidden), from ``by_size``
-    (``_tally``'s), which is taken again after each find.  Positions are
-    built for those digits only.  Returns the structures the cleanups
-    changed (27-bit) and the tallies the structure ends with."""
+    something, and return it as (kind, cells, digits, erased); None when no
+    group erases anything.  Groups come in ``combinations`` order of the
+    cells with 2..k candidates (naked, their masks spanning ``k`` digits),
+    then of the digits with 2..k places (hidden, their positions spanning
+    ``k`` cells), both read from ``groups``, ``_tally``'s group tallies.
+    Positions are built for those digits only, and only when there are ``k``
+    of them."""
     masks = grid.masks
-    step, size = GROUP_NAMES[k]
-    hit = 0
-    while True:
-        small, few = by_size[k]
-        erased = None
-        if len(small) >= k:
-            for cells in combinations(small, k):
-                union = 0
-                for c in cells:
-                    union |= masks[c]
-                if union.bit_count() == k:
-                    kind, digits = "naked", DIGITS_OF[union]
-                    erased = _cleanup_group(grid, cells, union)
-                    if erased:
-                        break
-        if not erased and few.bit_count() >= k:
-            pos = [0] * 10
-            for i, c in enumerate(CELLS_OF[s]):
-                for d in DIGITS_OF[masks[c] & few]:
-                    pos[d] |= 1 << i
-            for digits in combinations(DIGITS_OF[few], k):
-                union = 0
-                for d in digits:
-                    union |= pos[d]
-                if union.bit_count() == k:
-                    kind, cells = "hidden", cells_at(s, union)
-                    erased = _cleanup_group(grid, cells, mask_of(digits))
-                    if erased:
-                        break
-        if not erased:
-            return hit, by_size  # no group of size k erases anything
-        hit |= _structures_hit(erased)
-        events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
-                                 cells, digits, (), tuple(erased)))
-        by_size = _tally(grid, CELLS_OF[s])[4]
+    small, few = groups[k - 2]
+    if len(small) >= k:
+        for cells in combinations(small, k):
+            union = 0
+            for c in cells:
+                union |= masks[c]
+            if union.bit_count() == k and (erased := _cleanup_group(grid, cells, union)):
+                return "naked", cells, DIGITS_OF[union], erased
+    if few.bit_count() >= k:
+        pos = [0] * 10
+        for i, c in enumerate(CELLS_OF[s]):
+            for d in DIGITS_OF[masks[c] & few]:
+                pos[d] |= 1 << i
+        for digits in combinations(DIGITS_OF[few], k):
+            union = 0
+            for d in digits:
+                union |= pos[d]
+            if union.bit_count() == k:
+                cells = cells_at(s, union)
+                if erased := _cleanup_group(grid, cells, mask_of(digits)):
+                    return "hidden", cells, digits, erased
+    return None
 
 
 def step3_fixpoint(grid: Grid, *, trace: list | None = None, view: str | None = None,

@@ -443,16 +443,16 @@ def row_triple_at_six() -> Grid:
 
 
 def step3_group_scans(grid: Grid, monkeypatch) -> tuple[list, list[int]]:
-    """Step 3's events on ``grid`` and the structures whose group scan ran,
-    once per size scanned."""
+    """Step 3's events on ``grid`` and the structures whose group search
+    ran, once per search."""
     scanned = []
-    real_scan_size = phase2._scan_size
+    real_find_group = phase2._find_group
 
-    def scan_size(grid, s, *args):
+    def find_group(grid, s, *args):
         scanned.append(s)
-        return real_scan_size(grid, s, *args)
+        return real_find_group(grid, s, *args)
 
-    monkeypatch.setattr(phase2, "_scan_size", scan_size)
+    monkeypatch.setattr(phase2, "_find_group", find_group)
     events = []
     step3_fixpoint(grid, trace=events)
     return events, scanned

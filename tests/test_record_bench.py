@@ -170,7 +170,8 @@ def test_bench_pairs_ratios_see_through_drift_that_both_sides_share(monkeypatch)
     # the parent's IQR 5, and 5 is over 25% of 12.5
     assert row.split() == ["setup_s", "12.5", "[10,", "15]", "10", "[8,", "12]", "5", "-20.0%",
                            "0.800", "[0.800,", "0.800]", "10/10"]
-    assert lines[lines.index("verdicts:") + 1].split() == ["unresolved", "setup_s"]
+    assert lines[lines.index("verdicts:") + 1].split() == [
+        "unresolved", "setup_s", "parent", "IQR", "40%", ">", "bound", "25%"]
     assert tool.verdict(parent, [0.8 * p for p in parent], -1, 0.25) == "unresolved"
 
 
@@ -191,8 +192,26 @@ def test_bench_pairs_gives_each_metric_a_verdict(tmp_path, monkeypatch, capsys, 
     assert tool.main(["fixpoint", "--parent", str(parent), "--change", str(change),
                       "--seed", str(seed), "--pairs", str(pairs)]) == 0
     out = capsys.readouterr().out.splitlines()
-    verdicts = {line.split()[-1]: " ".join(line.split()[:-1])
+    verdicts = {line[20:].split()[0]: line[:20].strip()
                 for line in out[out.index("verdicts:") + 1:]}
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     assert verdicts == {name: lower if way == "lower" else higher for name, way in better.items()}
+
+
+def test_bench_pairs_says_why_a_verdict_is_unresolved(monkeypatch):
+    """Synthetic pairs: the parent's setup_s spreads 0.8-1.2 s, an IQR of
+    0.2 s or 20% of its 1.0 s median, against a 10% bound; its oracle time
+    spreads 2% against 25%.  Only the unresolved verdict names the parent's
+    IQR against the bound."""
+    tool = load_pairs_tool(monkeypatch)
+    setup = [0.8, 0.9, 1.0, 1.1, 1.2]
+    oracle = [4.9, 4.95, 5.0, 5.05, 5.1]
+    runs = [({"setup_s": {"value": s}, "oracle_ms_p50": {"value": o}},
+             {"setup_s": {"value": s * 1.01}, "oracle_ms_p50": {"value": o}})
+            for s, o in zip(setup, oracle)]
+    lines = tool.summarize(runs, {"setup_s": ("lower", 0.1), "oracle_ms_p50": ("lower", 0.25)})
+    verdicts = lines[lines.index("verdicts:") + 1:]
+    assert [line.split() for line in verdicts] == [
+        ["unresolved", "setup_s", "parent", "IQR", "20%", ">", "bound", "10%"],
+        ["no", "change", "shown", "oracle_ms_p50"]]

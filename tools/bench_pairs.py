@@ -24,6 +24,10 @@ the first of these that applies:
                     every parent run
   no change shown   otherwise
 
+An unresolved verdict is followed by the parent's interquartile range as a
+share of its median, beside the metric's bound, for example `parent IQR
+31% > bound 25%`.
+
 The verdict compares the two sides' spreads, as the benchmark's gain test
 does, so drift in the machine's speed that both runs of a pair share reads
 as spread there.  The ratios cancel that drift: a change that makes every
@@ -98,7 +102,8 @@ def verdict(before: list[float], after: list[float], sign: int, bound: float) ->
 def summarize(runs: list[tuple[dict, dict]], metrics: dict[str, tuple[str, float]]) -> list[str]:
     """One line per metric: medians, quartiles, parent IQR, median change,
     per-pair ratio quartiles, wins; then every pair's readings and every
-    metric's verdict."""
+    metric's verdict, an unresolved one with the parent's relative IQR
+    against the bound."""
     lines = [f"{'metric':<27}{'parent median [q1, q3]':<28}{'change median [q1, q3]':<28}"
              f"{'parent IQR':<12}{'change':<9}{'ratio median [q1, q3]':<24}wins"]
     verdicts = []
@@ -114,7 +119,10 @@ def summarize(runs: list[tuple[dict, dict]], metrics: dict[str, tuple[str, float
                      f"{f'{100 * (a2 / b2 - 1):+.1f}%':<9}"
                      f"{f'{r2:.3f} [{r1:.3f}, {r3:.3f}]':<24}"
                      f"{wins(before, after, sign)}/{len(runs)}")
-        verdicts.append(f"  {verdict(before, after, sign, bound):<18}{name}")
+        said = verdict(before, after, sign, bound)
+        why = f"parent IQR {(b3 - b1) / b2:.0%} > bound {bound:.0%}"
+        verdicts.append(f"  {said:<18}{name:<27}{why}" if said == "unresolved"
+                        else f"  {said:<18}{name}")
     lines.append("pairs (parent -> change):")
     for name in metrics:
         pairs = "  ".join(f"{p[name]['value']:.4g}->{c[name]['value']:.4g}" for p, c in runs)
