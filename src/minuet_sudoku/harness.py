@@ -176,7 +176,7 @@ class BatchStats:
     times: list[float]  # solver seconds per well-posed puzzle
     oracle_times: list[float]  # seconds per puzzle in its own well-posedness check
     level: float
-    confidence_bound: float | None
+    confidence_bound: float | None  # None when no puzzle was well-posed
 
     def render(self) -> str:
         import statistics
@@ -202,10 +202,9 @@ class BatchStats:
         if self.confidence_bound is not None:
             lines.append(
                 "failure-rate upper bound: %.4f%% at %g%% confidence "
-                "(%d well-posed puzzles, 0 failures)"
-                % (100 * self.confidence_bound, 100 * self.level, self.well_posed))
-        elif self.failures:
-            lines.append("failure-rate bound: not computed (failures > 0)")
+                "(%d well-posed puzzles, %d failed)"
+                % (100 * self.confidence_bound, 100 * self.level, self.well_posed,
+                   self.failures))
         return "\n".join(lines)
 
 
@@ -289,9 +288,7 @@ def batch_solve(corpus: CorpusLoad, *, jobs: int = 1, level: float = 0.90) -> Ba
     errors = sum(1 for r in results if r.status == "error")
     well_posed = solved + failures
     attempted = [r for r in results if r.status in ("solved", "failure")]
-    bound = None
-    if failures == 0 and well_posed >= 1:
-        bound = confidence_upper_bound(well_posed, level)
+    bound = confidence_upper_bound(well_posed, level, failures) if well_posed else None
     stats = BatchStats(
         puzzles=len(results), well_posed=well_posed, solved=solved,
         failures=failures, ill_posed=ill, errors=errors,
@@ -346,18 +343,44 @@ def validate_report(report: FailureReport,
                 f"residual cell {c} lost the solution digit {d}: a rule is unsound")
 
 
-def confidence_upper_bound(n: int, level: float = 0.90) -> float:
-    """Largest failure rate p with P(0 failures in n | p) >= 1 - level.
+def confidence_upper_bound(n: int, level: float = 0.90, failures: int = 0) -> float:
+    """Largest failure rate p with P(X <= failures | n, p) >= 1 - level,
+    where X counts the failures among ``n`` solves: the exact one-sided
+    (Clopper-Pearson) binomial upper bound.
 
-    The exact zero-failure bound over ``n`` clean solves:
-    1 - (1 - level)^(1/n).  With observed failures the counterexample reports
-    speak for themselves.
+    Found by bisection on the binomial tail, which falls as p rises; the
+    tail's terms are summed from their logarithms, so none underflows.  At
+    0 failures it is the closed form 1 - (1 - level)^(1/n); when every
+    solve failed it is 1.  Raises ValueError when ``n`` is below 1,
+    ``level`` lies outside (0, 1), or ``failures`` outside [0, n].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    return 1.0 - (1.0 - level) ** (1.0 / n)
+    if not 0 <= failures <= n:
+        raise ValueError(f"failures must be in [0, {n}], got {failures}")
+    if failures == n:
+        return 1.0
+    import math
+
+    def tail(p: float) -> float:
+        log_term = n * math.log1p(-p)  # log P(X = 0)
+        log_odds = math.log(p) - math.log1p(-p)
+        logs = [log_term]
+        for i in range(failures):  # log P(X = i + 1) from log P(X = i)
+            log_term += math.log((n - i) / (i + 1)) + log_odds
+            logs.append(log_term)
+        top = max(logs)
+        return math.exp(top) * sum(math.exp(x - top) for x in logs)
+
+    lo, hi = 0.0, 1.0  # tail(lo) >= 1 - level > tail(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if tail(mid) >= 1.0 - level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _cell_name(c: int) -> str:

@@ -42,7 +42,7 @@ from .grid import (BIT, CELLS_OF, DIGITS_OF, STRUCT_BITS, STRUCT_SET_OF, STRUCTS
                    STRUCTURES, ContradictionFound, Grid, InconsistentGivens, Structure,
                    grid_from_ink, parse_grid, place_ink, serialize_grid)
 from .phase1 import HalfDoubleRegistry, step1_fixpoint, step2_fill
-from .phase2 import step3_fixpoint
+from .phase2 import step3_fixpoint, tally
 from .trace import TraceEvent
 
 
@@ -167,20 +167,23 @@ CELL_COVER = tuple(STRUCT_BITS[r] | STRUCT_BITS[c] | STRUCT_BITS[b]
 def enumerate_starters(grid: Grid) -> list[Starter]:
     """All bivalue cells and half doubles, best-scored first.
 
-    A half double is a digit with exactly two places in a structure: one
-    pass over the structure's cells ORs their masks into ``seen``,
-    ``twice`` and ``thrice`` (digits with one place or more, two or more,
-    three or more), and the half doubles are ``twice & ~thrice``.  Score =
-    number of bivalue cells in the union of the starter's covering
-    structures (footnote-8 heuristic): the bivalue board ANDed with the
-    cover, on 81-bit boards.  The cover is a cell's three structures
-    (``CELL_COVER``), or the ones a half double's two cells share.  Ties
-    break by ascending cell index, then ascending digit.  The list is empty
-    when there is no bivalue cell and no half double.
+    Both kinds are read from the doubles part of Step 3's tally
+    (``phase2.tally``) of each structure: its cells with two candidates,
+    and ``twice & ~thrice``, its digits with exactly two places (the half
+    doubles).  The bivalue cells are the rows' two-candidate cells, taken in
+    row order, which is ascending cell order.  ``tally`` raises
+    ContradictionFound on an empty unsolved cell; ``solve()`` enumerates
+    only a base at a Step-3 fixpoint, which has none.  Score = number of
+    bivalue cells in the union of the starter's covering structures
+    (footnote-8 heuristic): the bivalue board ANDed with the cover, on
+    81-bit boards.  The cover is a cell's three structures (``CELL_COVER``),
+    or the ones a half double's two cells share.  Ties break by ascending
+    cell index, then ascending digit.  The list is empty when there is no
+    bivalue cell and no half double.
     """
     masks = grid.masks
-    solved = grid.solved
-    bivalue = [c for c in range(81) if masks[c].bit_count() == 2 and not solved[c]]
+    doubles = [tally(grid, cells)[4][0] for cells in CELLS_OF]
+    bivalue = [c for pairs, _ in doubles[:9] for c in pairs]
     board = 0
     for c in bivalue:
         board |= 1 << c
@@ -192,19 +195,11 @@ def enumerate_starters(grid: Grid) -> list[Starter]:
         entries.append(((-score, c, digits[0], c, 0),
                         ("bivalue", (c,), digits, None, score)))
     found = set()
-    for s in range(27):
-        cells = CELLS_OF[s]
-        seen = twice = thrice = 0
-        for c in cells:
-            m = masks[c]
-            thrice |= twice & m
-            twice |= seen & m
-            seen |= m
-        half = twice & ~thrice
+    for s, (_, half) in enumerate(doubles):
         while half:
             b = half & -half
             half ^= b
-            a, z = [c for c in cells if masks[c] & b]
+            a, z = [c for c in CELLS_OF[s] if masks[c] & b]
             d = b.bit_length()
             if (a, z, d) in found:  # also a half double of an earlier structure
                 continue

@@ -2,7 +2,7 @@
 triples, apply the blocking-rule cleanups after each find, iterate to fixpoint.
 
 A scan keeps no state between calls.  A structure visit (``_scan``) reads
-one tally pass over its cells (``_tally``): the inked digits, empty cells,
+one tally pass over its cells (``tally``): the inked digits, empty cells,
 the first naked single, the cells with 2 and with 2-3 candidates, and the
 place accumulators ``seen``, ``twice``, ``thrice`` and ``four`` (digits with
 at least one, two, three, four places).  A digit neither inked nor in
@@ -14,7 +14,10 @@ with 2..k places (``twice & ~thrice`` for doubles, ``twice & ~four`` for
 triples) whose positions span ``k`` cells (hidden).  Positions are built
 for those digits only, and only when there are ``k`` of them.  The search
 returns the first group whose cleanup erases something; the visit logs it
-and takes the tally again before the next search.
+and takes the tally again before the next search.  Step 4 reads its
+starters from the same tally (``minuet.enumerate_starters``): the cells
+with two candidates are its bivalue cells, and ``twice & ~thrice`` are its
+half doubles.
 
 Groups of size ``k`` are scanned only in structures with ``2k``+ unsolved
 cells (4 for doubles, 6 for triples): in a smaller one the cells outside a
@@ -82,7 +85,7 @@ def _ink(grid, cell, digit, step, rule, s, events, view) -> int:
     return STRUCT_SET_OF[cell] | _structures_hit(ev.erased)
 
 
-def _tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
+def tally(grid: Grid, cells: tuple[int, ...]) -> tuple:
     """One pass over a structure's cells.  Returns the inked digits, the
     first naked single (or None), the digits with one place or more and with
     two or more, and for doubles and then triples the cells with 2..k
@@ -126,7 +129,7 @@ def _scan(grid: Grid, s: int, events: list, view: str | None) -> int:
     masks = grid.masks
     hit = 0
     while True:
-        inked, naked, seen, twice, groups = _tally(grid, cells)
+        inked, naked, seen, twice, groups = tally(grid, cells)
         if naked is not None:
             d = DIGITS_OF[masks[naked]][0]
             hit |= _ink(grid, naked, d, "3.1", "naked single", s, events, view)
@@ -149,7 +152,7 @@ def _scan(grid: Grid, s: int, events: list, view: str | None) -> int:
             hit |= _structures_hit(erased)
             events.append(TraceEvent(step, f"{kind} {size}", view, STRUCTURES[s],
                                      group, digits, (), tuple(erased)))
-            groups = _tally(grid, cells)[4]
+            groups = tally(grid, cells)[4]
     return hit
 
 
@@ -159,7 +162,7 @@ def _find_group(grid: Grid, s: int, k: int, groups: tuple) -> tuple | None:
     group erases anything.  Groups come in ``combinations`` order of the
     cells with 2..k candidates (naked, their masks spanning ``k`` digits),
     then of the digits with 2..k places (hidden, their positions spanning
-    ``k`` cells), both read from ``groups``, ``_tally``'s group tallies.
+    ``k`` cells), both read from ``groups``, ``tally``'s group tallies.
     Positions are built for those digits only, and only when there are ``k``
     of them."""
     masks = grid.masks

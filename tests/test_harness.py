@@ -97,7 +97,9 @@ def test_batch_flags_ill_posed_and_excludes_from_stats(tmp_path):
 def test_batch_counts_conjecture_failures(tmp_path):
     result = batch_solve(small_corpus(tmp_path, [EASY, STALL]))
     assert result.stats.failures == 1
-    assert result.stats.confidence_bound is None
+    # P(X <= 1 | 2, p) = 1 - p^2 falls to 0.1 at p = sqrt(0.9)
+    assert result.stats.confidence_bound == pytest.approx(0.9 ** 0.5)
+    assert "(2 well-posed puzzles, 1 failed)" in result.stats.render()
     assert len(result.reports) == 1
     line_no, report = result.reports[0]
     assert report.reason == "all_starters_stuck"
@@ -431,6 +433,31 @@ def test_confidence_bound_identity(n, level):
 def test_confidence_bound_decreases_with_n():
     bounds = [confidence_upper_bound(n, 0.9) for n in (1, 10, 100, 230, 1000)]
     assert bounds == sorted(bounds, reverse=True)
+
+
+@pytest.mark.parametrize("n", [1, 10, 230, 100000])
+def test_confidence_bound_at_zero_failures_is_the_closed_form(n):
+    assert abs(confidence_upper_bound(n, 0.90, failures=0) - (1 - 0.1 ** (1 / n))) < 1e-12
+
+
+def test_confidence_bound_rises_with_failures():
+    bounds = [confidence_upper_bound(240, 0.90, failures=k) for k in range(6)]
+    assert bounds == sorted(set(bounds))
+    assert confidence_upper_bound(240, 0.90, failures=240) == 1.0
+
+
+@pytest.mark.parametrize("n, failures", [(10, 1), (50, 3), (240, 2)])
+def test_confidence_bound_leaves_the_binomial_tail_at_one_minus_level(n, failures):
+    p = confidence_upper_bound(n, 0.90, failures=failures)
+    tail = sum(math.comb(n, i) * p ** i * (1 - p) ** (n - i) for i in range(failures + 1))
+    assert abs(tail - 0.10) < 1e-9
+
+
+def test_confidence_bound_rejects_failures_outside_zero_to_n():
+    with pytest.raises(ValueError, match="failures"):
+        confidence_upper_bound(10, 0.9, failures=-1)
+    with pytest.raises(ValueError, match="failures"):
+        confidence_upper_bound(10, 0.9, failures=11)
 
 
 # --- rendering ----------------------------------------------------------------

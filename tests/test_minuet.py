@@ -6,7 +6,7 @@ from minuet_sudoku import (BothContradicted,
                            HalfDoubleRegistry, Starter,
                            brute_solve, commit_retained, dance_alone,
                            dance_together, enumerate_starters, init_hypotheses,
-                           parse_grid, place_ink, replay_trace, run_minuet,
+                           load_corpus, parse_grid, place_ink, replay_trace, run_minuet,
                            serialize_grid, solve, step1_fixpoint, step2_fill,
                            step3_fixpoint, validate_report, verify_well_posed)
 from minuet_sudoku import minuet
@@ -18,6 +18,7 @@ from minuet_sudoku.minuet import MinuetState, HypothesisView
 
 from minuet_sudoku.phase1 import Phase1Run
 
+from conftest import CORPORA
 from puzzles import (CLIMB_STALLS, EASY, EASY_SOLUTION, HARD, HARD_SOLUTION, MEDIUM, TRICKY,
                      TRICKY_SOLUTION)
 from test_golden_trace import stall_puzzles
@@ -105,6 +106,11 @@ def enumerated(grid: Grid) -> list[tuple]:
 
 def test_enumerate_starters_matches_reference(hard_corpus):
     grids = [at_fixpoint(p) for p in hard_corpus]
+    # the stall residuals, on which every starter is danced
+    for entry in load_corpus(CORPORA / "counterexamples.txt").entries:
+        outcome = solve(entry.text)
+        assert outcome.status == "conjecture_failure"
+        grids.append(outcome.grid)
     rng = random.Random(41)
     for _ in range(40):
         chars = list(random_solution(rng))

@@ -24,10 +24,32 @@ def load_tool():
     return module
 
 
-def fake_checkout(root: Path, correct: bool, failed: int = 0) -> Path:
+FAKE_HARNESS = """\
+from types import SimpleNamespace as NS
+
+def load_corpus(path):
+    return NS(path=path)
+
+def batch_solve(corpus):
+    assert corpus.path == PATH
+    return NS(stats=NS(puzzles=2, failures=FAILURES, errors=0,
+                       times=[0.001, 0.003], oracle_times=[0.002, 0.006]))
+"""
+
+
+def fake_checkout(root: Path, correct: bool, failed: int = 0, stalls: int = 2) -> Path:
+    """A checkout whose perfbench run prints one result line, and whose
+    package's batch reads two puzzles, ``stalls`` of them validated
+    failures, at fixed times."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
         FAKE_RUN.replace("CORRECT", str(correct)).replace("FAILED", str(failed)))
+    package = root / "src" / "minuet_sudoku"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "harness.py").write_text(
+        FAKE_HARNESS.replace("PATH", repr(str(ROOT / "corpora" / "counterexamples.txt")))
+        .replace("FAILURES", str(stalls)))
     return root
 
 
@@ -43,6 +65,26 @@ def test_record_bench_writes_every_workload_at_both_trace_levels(tmp_path, monke
         (w, t) for w in ("fixpoint", "minuet", "stall") for t in (0, 1)]
     assert record["runs"][5]["result"]["metrics"]["args"] == {
         "--workload": "stall", "--seed": "4242", "--seconds": "30.0", "--trace": "1"}
+    # every round reads 1 and 3 ms in the solver, 2 and 6 ms in the oracle
+    assert record["counterexamples"] == {
+        "corpus": "counterexamples.txt", "rounds": 100, "puzzles": 2,
+        "solver_ms_p50": 2.0, "oracle_ms_p50": 4.0}
+
+
+def test_record_bench_writes_nothing_unless_every_counterexample_stalls(tmp_path, monkeypatch):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    checkout = fake_checkout(tmp_path / "checkout", True, stalls=1)
+    with pytest.raises(SystemExit, match="100 of 200 validated failures, 0 error"):
+        tool.main(["7", "--checkout", str(checkout)])
+    assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_counterexample_timing_runs_this_checkout():
+    record = load_tool().time_counterexamples(ROOT, rounds=1)
+    assert record["corpus"] == "counterexamples.txt"
+    assert record["rounds"] == 1 and record["puzzles"] == 5
+    assert record["solver_ms_p50"] > 0 and record["oracle_ms_p50"] > 0
 
 
 def test_record_bench_writes_nothing_after_a_wrong_answer(tmp_path, monkeypatch):

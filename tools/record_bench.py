@@ -9,6 +9,14 @@ run length, so the files of the trajectory compare with one another.  Fails
 without writing anything if a run exits with an error, reports a wrong
 answer or counts an operation that raised.
 
+It also records the counterexamples' solver and oracle medians: the
+checkout's own `batch_solve`, from its `src/`, over this repository's
+`corpora/counterexamples.txt` for a fixed number of rounds, so a checkout
+of another commit times the same puzzles.  A batch times the solver apart
+from the oracle, so this is the stall path's solver time with no oracle
+time inside it.  It fails, writing nothing, unless every puzzle of every
+round ends as a validated conjecture failure with no error.
+
 Usage: python tools/record_bench.py LABEL [--checkout DIR]
 
 LABEL names the change measured; the file BENCH_<LABEL>.json is written at
@@ -23,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +40,25 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fixpoint", "minuet", "stall")
 SEED = 4242
 SECONDS = 30.0
+COUNTEREXAMPLES = ROOT / "corpora" / "counterexamples.txt"
+ROUNDS = 100
+
+# run by the checkout's interpreter with only its src/ on the path:
+# argv is the corpus path and the number of rounds
+TIME_BATCHES = """\
+import json, sys
+from minuet_sudoku.harness import batch_solve, load_corpus
+corpus = load_corpus(sys.argv[1])
+out = {"puzzles": 0, "failures": 0, "errors": 0, "solver_ms": [], "oracle_ms": []}
+for _ in range(int(sys.argv[2])):
+    stats = batch_solve(corpus).stats
+    out["puzzles"] += stats.puzzles
+    out["failures"] += stats.failures
+    out["errors"] += stats.errors
+    out["solver_ms"] += [t * 1e3 for t in stats.times]
+    out["oracle_ms"] += [t * 1e3 for t in stats.oracle_times]
+print(json.dumps(out))
+"""
 
 
 def run_once(checkout: Path, workload: str, trace: int, seed: int = SEED) -> dict:
@@ -47,6 +75,25 @@ def run_once(checkout: Path, workload: str, trace: int, seed: int = SEED) -> dic
         raise SystemExit(f"{workload} --trace {trace}: {result['failed']} operation(s) "
                          f"raised\n{out.stdout}")
     return result
+
+
+def time_counterexamples(checkout: Path, rounds: int = ROUNDS) -> dict:
+    """The checkout's `batch_solve` over this repository's counterexample
+    corpus, ``rounds`` times; returns the solver and oracle medians over
+    every puzzle of every round."""
+    cmd = [sys.executable, "-c", TIME_BATCHES, str(COUNTEREXAMPLES), str(rounds)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"counterexample batches exited {out.returncode}:\n{out.stderr}")
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    if counts["failures"] != counts["puzzles"] or counts["errors"]:
+        raise SystemExit(f"counterexamples: {counts['failures']} of {counts['puzzles']} "
+                         f"validated failures, {counts['errors']} error(s)")
+    return {"corpus": COUNTEREXAMPLES.name, "rounds": rounds,
+            "puzzles": counts["puzzles"] // rounds,
+            "solver_ms_p50": statistics.median(counts["solver_ms"]),
+            "oracle_ms_p50": statistics.median(counts["oracle_ms"])}
 
 
 def commit_of(checkout: Path) -> str | None:
@@ -77,6 +124,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{workload} --trace {trace} ...", flush=True)
             runs.append({"workload": workload, "trace": trace,
                          "result": run_once(checkout, workload, trace)})
+    print("counterexamples ...", flush=True)
+    counterexamples = time_counterexamples(checkout)
     record = {
         "label": args.label,
         "commit": commit_of(checkout),
@@ -86,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": SEED,
         "seconds": SECONDS,
         "runs": runs,
+        "counterexamples": counterexamples,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
